@@ -303,9 +303,6 @@ class AggregateStats:
     initiation_histogram: dict[str, int]
     depth_histogram: dict[str, int]
 
-    def total_events(self) -> int:
-        return sum(self.initiation_histogram.values())
-
 
 @dataclass
 class StrategyOutcome:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -240,60 +241,19 @@ def run_zsampling(
     return _finish(state, [], [], ctx, nfe0, rc0, sched, seed)
 
 
-def run_sop(
+def _evaluate_candidate(
     ctx: EvalContext,
-    x_T: LatentState,
     cond: Condition,
     mix: GaussianMixture,
     guidance: GuidanceConfig,
     sched: NoiseSchedule,
     reward: RewardSpec,
-    n_candidates: int,
-    seed: int = 0,
-) -> RunResult:
-    """Fixed-depth search over paths: score the default continuation plus
-    ``n_candidates`` one-level re-noised continuations, keep the best.
-
-    Ties go to the earliest candidate, so the default wins exact ties. The
-    inversion distance is clamped to 0 at the top step.
-    """
-    _check_start(x_T, sched)
-    if n_candidates < 1:
-        raise ValueError("n_candidates must be >= 1")
-    if reward is None:
-        raise ValueError("run_sop requires a reward")
-    nfe0, rc0 = ctx.nfe_count, ctx.reward_calls
-    T = sched.num_steps
-    trace: list[float] = []
-    state = x_T
-    for t in range(T, 0, -1):
-        best_state, x0_hat = _advance(ctx, state, cond, mix, guidance, sched)
-        best_score = _scored(ctx, reward, cond, x0_hat)
-        delta = min(1, T - t)
-        for i in range(1, n_candidates + 1):
-            noise = keyed_rng(seed, t, 1, i).standard_normal(state.dim)
-            cand = stochastic_invert(state, delta, noise, sched)
-            for _k in range(t + delta, t - 1, -1):
-                cand, cand_x0 = _advance(ctx, cand, cond, mix, guidance, sched)
-            r = _scored(ctx, reward, cond, cand_x0)
-            if r > best_score:
-                best_score, best_state = r, cand
-        state = best_state
-        trace.append(best_score)
-    return _finish(state, trace, [], ctx, nfe0, rc0, sched, seed)
-
-
-def _evaluate_candidate(
-    ctx: EvalContext,
     origin: LatentState,
     delta: int,
     key: tuple[int, int, int, int],
-    cond: Condition,
-    mix: GaussianMixture,
-    guidance: GuidanceConfig,
-    sched: NoiseSchedule,
-    reward: RewardSpec,
 ) -> tuple[float, LatentState]:
+    """One zigzag: re-noise ``origin`` by ``delta`` levels with the keyed
+    noise, denoise back to its level, and score the result."""
     noise = keyed_rng(*key).standard_normal(origin.dim)
     cand = stochastic_invert(origin, delta, noise, sched)
     for _k in range(origin.t + delta, origin.t - 1, -1):
@@ -335,9 +295,53 @@ def run_ctrlz(
     depth may be evaluated by ``workers`` threads; results are identical for
     any worker count.
     """
+    return _search(ctx, x_T, cond, mix, sched, reward, params, seed, workers)
+
+
+def run_sop(
+    ctx: EvalContext,
+    x_T: LatentState,
+    cond: Condition,
+    mix: GaussianMixture,
+    guidance: GuidanceConfig,
+    sched: NoiseSchedule,
+    reward: RewardSpec,
+    n_candidates: int,
+    seed: int = 0,
+) -> RunResult:
+    """Fixed-depth search over paths: the ``ctrlz`` preset with window=T,
+    initiation=always and max_depth=1, with no events logged.
+
+    Every step scores the default continuation plus ``n_candidates``
+    one-level re-noised continuations and keeps the best. Ties go to the
+    earliest candidate, so the default wins exact ties. The inversion
+    distance is clamped to 0 at the top step.
+    """
+    params = CtrlZParams(
+        window=sched.num_steps,
+        max_depth=1,
+        n_candidates=n_candidates,
+        initiation=InitiationPolicy.ALWAYS,
+        guidance=guidance,
+    )
+    return replace(_search(ctx, x_T, cond, mix, sched, reward, params, seed, 1), events=[])
+
+
+def _search(
+    ctx: EvalContext,
+    x_T: LatentState,
+    cond: Condition,
+    mix: GaussianMixture,
+    sched: NoiseSchedule,
+    reward: RewardSpec,
+    params: CtrlZParams,
+    seed: int,
+    workers: int,
+) -> RunResult:
+    """The one adaptive search loop behind ``run_ctrlz`` and ``run_sop``."""
     _check_start(x_T, sched)
     if reward is None:
-        raise ValueError("run_ctrlz requires a reward")
+        raise ValueError("the search requires a reward")
     T = sched.num_steps
     if params.window > T:
         raise ValueError(f"window {params.window} exceeds total steps {T}")
@@ -347,6 +351,7 @@ def run_ctrlz(
 
     nfe0, rc0 = ctx.nfe_count, ctx.reward_calls
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    evaluate_all = pool.map if pool is not None else map
     trace: list[float] = []
     events: list[ExplorationEvent] = []
     r_prev = -math.inf
@@ -361,30 +366,14 @@ def run_ctrlz(
                     trace.append(r)
                 else:
                     best_score, best_state = r, next_state
-                    depths_tried = 0
-                    delta = 0
                     terminated = TerminatedBy.DEPTH_CAP
-                    for inversion_step in range(1, params.max_depth + 1):
-                        delta = min(inversion_step, T - t)
-                        keys = [(seed, t, inversion_step, i) for i in range(1, params.n_candidates + 1)]
-                        if pool is not None:
-                            results = list(
-                                pool.map(
-                                    lambda key: _evaluate_candidate(
-                                        ctx, state, delta, key, cond, mix, explore_guidance, sched, reward
-                                    ),
-                                    keys,
-                                )
-                            )
-                        else:
-                            results = [
-                                _evaluate_candidate(
-                                    ctx, state, delta, key, cond, mix, explore_guidance, sched, reward
-                                )
-                                for key in keys
-                            ]
-                        depths_tried += 1
-                        for cand_score, cand_state in results:
+                    for depth in range(1, params.max_depth + 1):  # max_depth >= 1: always entered
+                        delta = min(depth, T - t)
+                        keys = [(seed, t, depth, i) for i in range(1, params.n_candidates + 1)]
+                        evaluate = partial(
+                            _evaluate_candidate, ctx, cond, mix, explore_guidance, sched, reward, state, delta
+                        )
+                        for cand_score, cand_state in evaluate_all(evaluate, keys):
                             if cand_score > best_score:
                                 best_score, best_state = cand_score, cand_state
                         if best_score >= r_prev + params.threshold:
@@ -394,8 +383,8 @@ def run_ctrlz(
                         ExplorationEvent(
                             t=t,
                             trigger=params.initiation.value,
-                            depths_tried=depths_tried,
-                            candidates_evaluated=depths_tried * params.n_candidates,
+                            depths_tried=depth,
+                            candidates_evaluated=depth * params.n_candidates,
                             terminal_depth=delta,
                             terminated_by=terminated,
                             accepted_score=best_score,

@@ -246,6 +246,10 @@ def test_ctrlz_rejects_bad_arguments(sched50, two_mode_mix, balanced_cond):
             default_params(window=51), seed=7,
         )
     with pytest.raises(ValueError):
+        run_sop(EvalContext(), start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, None, 4, seed=7)
+    with pytest.raises(ValueError):
+        run_sop(EvalContext(), start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, 0, seed=7)
+    with pytest.raises(ValueError):
         CtrlZParams(window=-1)
     with pytest.raises(ValueError):
         CtrlZParams(n_candidates=0)
