@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import Sequence
 
@@ -52,14 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None or args.runs is not None:
-            seeds = dataclasses.replace(
-                cfg.seeds,
-                master_seed=args.seed if args.seed is not None else cfg.seeds.master_seed,
-                runs=args.runs if args.runs is not None else cfg.seeds.runs,
-            )
-            cfg = dataclasses.replace(cfg, seeds=seeds)
+        cfg = load_config(args.config, args.seed, args.runs)
 
         if args.command == "run":
             outcomes = {cfg.strategy.name: run_experiment(cfg)}

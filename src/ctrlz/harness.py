@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -13,7 +14,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .dynamics import GuidanceConfig, GuidanceMode, LatentState
-from .models import Condition, EvalContext, GaussianMixture
+from .models import _WEIGHT_TOL, Condition, EvalContext, GaussianMixture
 from .rewards import LogDensity, NegDistance, Plateau, RewardSpec, score
 from .samplers import (
     CtrlZParams,
@@ -48,6 +49,13 @@ def _get(d: Mapping[str, Any], key: str, path: str, required: bool = True, defau
     return d[key]
 
 
+def _section(doc: Mapping[str, Any], key: str, default: Any = None) -> Mapping[str, Any]:
+    value = _get(doc, key, "config", required=default is None, default=default)
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"config.{key}", "expected an object")
+    return value
+
+
 def _positive_int(value: Any, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(path, f"expected positive integer, got {value!r}")
@@ -55,8 +63,8 @@ def _positive_int(value: Any, path: str) -> int:
 
 
 def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(path, f"expected finite number, got {value!r}")
     return float(value)
 
 
@@ -159,19 +167,20 @@ class ExperimentConfig:
     escape: EscapeConfig | None = None
 
     def build_guidance(self) -> GuidanceConfig:
-        mode = GuidanceMode.CFG_PLUS_PLUS if self.guidance_mode == "cfg++" else GuidanceMode.CFG
-        return GuidanceConfig(self.guidance_omega, mode)
+        return GuidanceConfig(self.guidance_omega, GuidanceMode(self.guidance_mode))
 
 
-def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
+def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: int | None = None) -> ExperimentConfig:
     """Validate a JSON-style mapping into an ExperimentConfig.
 
-    Raises ConfigError naming the offending field on the first problem found.
+    ``master_seed`` and ``runs``, when given, replace the seeds entries and
+    are checked like them. Raises ConfigError naming the offending field on
+    the first problem found.
     """
     if not isinstance(doc, Mapping):
         raise ConfigError("config", "top level must be an object")
 
-    sch = _get(doc, "schedule", "config", required=False, default={})
+    sch = _section(doc, "schedule", {})
     family = sch.get("family", "linear")
     if family != "linear":
         raise ConfigError("config.schedule.family", f"unsupported family {family!r}")
@@ -185,7 +194,7 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError("config.schedule.beta_start", "require 0 < beta_start <= beta_end < 1")
     schedule = ScheduleConfig(family, train_steps, infer_steps, beta_start, beta_end)
 
-    mx = _get(doc, "mixture", "config")
+    mx = _section(doc, "mixture")
     weights = _vector(_get(mx, "weights", "config.mixture"), "config.mixture.weights")
     means_raw = _get(mx, "means", "config.mixture")
     if not isinstance(means_raw, Sequence) or len(means_raw) != len(weights):
@@ -196,14 +205,14 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     scales = _vector(_get(mx, "scales", "config.mixture"), "config.mixture.scales")
     if len(scales) != len(weights):
         raise ConfigError("config.mixture.scales", "must list one scale per weight")
-    if abs(sum(weights) - 1.0) > 1e-9 or any(w <= 0 for w in weights):
+    if abs(float(np.sum(weights)) - 1.0) > _WEIGHT_TOL or any(w <= 0 for w in weights):
         raise ConfigError("config.mixture.weights", "weights must be positive and sum to 1")
     if any(s <= 0 for s in scales):
         raise ConfigError("config.mixture.scales", "scales must be > 0")
     mixture = MixtureConfig(weights, means, scales)
     dim = len(means[0])
 
-    cn = _get(doc, "condition", "config", required=False, default={"kind": "unconditional"})
+    cn = _section(doc, "condition", {"kind": "unconditional"})
     ckind = cn.get("kind", "unconditional")
     if ckind not in ("unconditional", "component", "reweight"):
         raise ConfigError("config.condition.kind", f"unknown kind {ckind!r}")
@@ -211,17 +220,17 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     cweights: tuple[float, ...] = ()
     if ckind == "component":
         comp = _get(cn, "component", "config.condition")
-        if not isinstance(comp, int) or not 0 <= comp < len(weights):
+        if not isinstance(comp, int) or isinstance(comp, bool) or not 0 <= comp < len(weights):
             raise ConfigError("config.condition.component", f"index {comp!r} out of range")
     if ckind == "reweight":
         cweights = _vector(_get(cn, "weights", "config.condition"), "config.condition.weights")
         if len(cweights) != len(weights):
             raise ConfigError("config.condition.weights", "length must match mixture components")
-        if any(w < 0 for w in cweights) or abs(sum(cweights) - 1.0) > 1e-9:
+        if any(w < 0 for w in cweights) or abs(float(np.sum(cweights)) - 1.0) > _WEIGHT_TOL:
             raise ConfigError("config.condition.weights", "must be nonnegative and sum to 1")
     condition = ConditionConfig(ckind, comp, cweights)
 
-    rw = _get(doc, "reward", "config")
+    rw = _section(doc, "reward")
     rkind = _get(rw, "kind", "config.reward")
     if rkind not in ("neg_distance", "log_density", "plateau"):
         raise ConfigError("config.reward.kind", f"unknown kind {rkind!r}")
@@ -242,14 +251,7 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
             raise ConfigError("config.reward.plateau_value", "must be < peak_value")
     reward = RewardConfig(rkind, rtarget, inner, outer, plateau_value, peak_value)
 
-    st = _get(doc, "strategy", "config", required=False, default={"name": "ddim"})
-    sname = st.get("name", "ddim")
-    if sname not in STRATEGY_NAMES:
-        raise ConfigError("config.strategy.name", f"unknown strategy {sname!r}")
-    sparams = {k: v for k, v in st.items() if k != "name"}
-    strategy = StrategyConfig(sname, sparams)
-
-    gd = _get(doc, "guidance", "config", required=False, default={})
+    gd = _section(doc, "guidance", {})
     omega = _number(gd.get("omega", 1.0), "config.guidance.omega")
     gmode = gd.get("mode", "cfg")
     if gmode not in ("cfg", "cfg++"):
@@ -257,16 +259,23 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     if omega < 0:
         raise ConfigError("config.guidance.omega", "must be >= 0")
 
-    sd = _get(doc, "seeds", "config", required=False, default={})
-    master_seed = sd.get("master_seed", 0)
+    st = _section(doc, "strategy", {"name": "ddim"})
+    sname = st.get("name", "ddim")
+    if sname not in STRATEGY_NAMES:
+        raise ConfigError("config.strategy.name", f"unknown strategy {sname!r}")
+    strategy = StrategyConfig(sname, {k: v for k, v in st.items() if k != "name"})
+
+    sd = _section(doc, "seeds", {})
+    if master_seed is None:
+        master_seed = sd.get("master_seed", 0)
     if not isinstance(master_seed, int) or isinstance(master_seed, bool) or master_seed < 0:
         raise ConfigError("config.seeds.master_seed", f"expected nonnegative integer, got {master_seed!r}")
-    runs = _positive_int(sd.get("runs", 1), "config.seeds.runs")
+    runs = _positive_int(sd.get("runs", 1) if runs is None else runs, "config.seeds.runs")
     seeds = SeedConfig(master_seed, runs)
 
     escape: EscapeConfig | None = None
     if "escape" in doc:
-        es = doc["escape"]
+        es = _section(doc, "escape")
         etarget = _vector(_get(es, "target", "config.escape"), "config.escape.target")
         if len(etarget) != dim:
             raise ConfigError("config.escape.target", "dimension must match mixture means")
@@ -277,16 +286,18 @@ def parse_config(doc: Mapping[str, Any]) -> ExperimentConfig:
     elif rtarget:
         escape = EscapeConfig(rtarget, 1.0)
 
-    return ExperimentConfig(schedule, mixture, condition, reward, strategy, omega, gmode, seeds, escape)
+    cfg = ExperimentConfig(schedule, mixture, condition, reward, strategy, omega, gmode, seeds, escape)
+    _strategy_arg(strategy, cfg.build_guidance(), infer_steps)
+    return cfg
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, master_seed: int | None = None, runs: int | None = None) -> ExperimentConfig:
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    return parse_config(doc)
+    return parse_config(doc, master_seed, runs)
 
 
 @dataclass
@@ -312,35 +323,38 @@ class StrategyOutcome:
     escaped: list[bool] | None
 
 
-def _ctrlz_params(params: Mapping[str, Any], guidance: GuidanceConfig, path: str) -> CtrlZParams:
-    try:
-        initiation = InitiationPolicy(params.get("initiation", "reward_based"))
-    except ValueError:
-        raise ConfigError(f"{path}.initiation", f"unknown policy {params.get('initiation')!r}") from None
-    try:
-        explore = ExplorationGuidance(params.get("exploration_guidance", "same"))
-    except ValueError:
-        raise ConfigError(
-            f"{path}.exploration_guidance", f"unknown value {params.get('exploration_guidance')!r}"
-        ) from None
-    try:
-        return CtrlZParams(
-            window=params.get("window", 40),
-            threshold=params.get("threshold", 0.0),
-            max_depth=params.get("max_depth", 3),
-            n_candidates=params.get("n_candidates", 4),
-            initiation=initiation,
-            random_p=params.get("random_p", 0.5),
-            guidance=guidance,
-            exploration_guidance=explore,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(path, str(exc)) from None
+def _strategy_arg(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> Any:
+    """Check a strategy's parameters for ``steps`` sampling steps; build what its sampler takes."""
+    path = "config.strategy"
+    params = dict(strategy.params)
+    if strategy.name == "ctrlz":
+        try:
+            for key, kind in (("initiation", InitiationPolicy), ("exploration_guidance", ExplorationGuidance)):
+                if key in params:
+                    params[key] = kind(params[key])
+            ctrlz = CtrlZParams(guidance=guidance, **params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(path, str(exc)) from None
+        if ctrlz.window > steps:
+            raise ConfigError(f"{path}.window", f"{ctrlz.window} exceeds the {steps} sampling steps")
+        return ctrlz
+    known = {"sop": "n_candidates", "zsampling": "inversion_omega"}.get(strategy.name)
+    for key in params:
+        if key != known:
+            raise ConfigError(f"{path}.{key}", f"not a parameter of strategy {strategy.name!r}")
+    if strategy.name == "sop":
+        return _positive_int(params.get("n_candidates", 4), f"{path}.n_candidates")
+    if strategy.name == "zsampling":
+        omega = _number(params.get("inversion_omega", 0.0), f"{path}.inversion_omega")
+        if omega < 0:
+            raise ConfigError(f"{path}.inversion_omega", "must be >= 0")
+        return GuidanceConfig(omega, GuidanceMode.CFG)
+    return None
 
 
 def _run_one(
     name: str,
-    params: Mapping[str, Any],
+    strategy_arg: Any,
     sched: NoiseSchedule,
     mix: GaussianMixture,
     cond: Condition,
@@ -355,14 +369,10 @@ def _run_one(
     if name == "resampling":
         return run_resampling(ctx, x_T, cond, mix, guidance, sched, seed=run_seed)
     if name == "zsampling":
-        inv = GuidanceConfig(params.get("inversion_omega", 0.0), GuidanceMode.CFG)
-        return run_zsampling(ctx, x_T, cond, mix, guidance, sched, inversion_guidance=inv, seed=run_seed)
+        return run_zsampling(ctx, x_T, cond, mix, guidance, sched, inversion_guidance=strategy_arg, seed=run_seed)
     if name == "sop":
-        n = params.get("n_candidates", 4)
-        return run_sop(ctx, x_T, cond, mix, guidance, sched, reward, n, seed=run_seed)
-    ctrlz = _ctrlz_params(params, guidance, "config.strategy")
-    workers = params.get("workers", 1)
-    return run_ctrlz(ctx, x_T, cond, mix, sched, reward, ctrlz, seed=run_seed, workers=workers)
+        return run_sop(ctx, x_T, cond, mix, guidance, sched, reward, strategy_arg, seed=run_seed)
+    return run_ctrlz(ctx, x_T, cond, mix, sched, reward, strategy_arg, seed=run_seed)
 
 
 def _aggregate(
@@ -417,10 +427,11 @@ def run_experiment(
     cond = cfg.condition.build()
     reward = cfg.reward.build(mix)
     guidance = cfg.build_guidance()
+    strategy_arg = _strategy_arg(strat, guidance, sched.num_steps)
     results = []
     for run_index in range(cfg.seeds.runs):
         run_seed = mix_seed(cfg.seeds.master_seed, run_index)
-        results.append(_run_one(strat.name, strat.params, sched, mix, cond, reward, guidance, run_seed))
+        results.append(_run_one(strat.name, strategy_arg, sched, mix, cond, reward, guidance, run_seed))
     return _aggregate(label or strat.name, results, cfg, cond, reward)
 
 

@@ -113,9 +113,9 @@ UNCONDITIONAL = Condition.unconditional()
 class EvalContext:
     """Monotone counters for denoiser forward passes and reward evaluations.
 
-    Increments are lock-protected so concurrent candidate evaluation within a
-    run keeps the totals exact. Do not share one context across concurrently
-    executing runs if per-run attribution matters.
+    Increments are lock-protected. Samplers report a run's counts relative to
+    the counters at its start, so runs may share a context in sequence, but
+    not concurrently.
     """
 
     def __init__(self):

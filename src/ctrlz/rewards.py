@@ -9,6 +9,7 @@ from typing import Union
 
 import numpy as np
 
+from .dynamics import NonFiniteError
 from .models import Condition, GaussianMixture
 
 
@@ -66,10 +67,18 @@ RewardSpec = Union[NegDistance, LogDensity, Plateau]
 
 
 def score(spec: RewardSpec, cond: Condition, x0_hat: np.ndarray) -> float:
-    """Scalar score of a clean estimate under the given reward."""
+    """Scalar score of a clean estimate; NonFiniteError if the score overflows."""
     x = np.asarray(x0_hat, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("clean estimate must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _raw_score(spec, cond, x)
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{type(spec).__name__} score is not finite")
+    return value
+
+
+def _raw_score(spec: RewardSpec, cond: Condition, x: np.ndarray) -> float:
     if isinstance(spec, NegDistance):
         return -float(np.linalg.norm(x - spec.target))
     if isinstance(spec, LogDensity):

@@ -2,17 +2,15 @@
 
 All strategies share the guided analytic denoiser and the step operators.
 Stochastic strategies derive every noise draw from a stream keyed by
-(seed, step, depth, candidate), so reruns are bit-identical regardless of
-how many workers evaluate candidates.
+(seed, step, depth, candidate), so reruns are bit-identical and no result
+depends on the order in which runs or candidates are evaluated.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -62,16 +60,16 @@ class CtrlZParams:
     exploration_guidance: ExplorationGuidance = ExplorationGuidance.SAME
 
     def __post_init__(self):
-        if self.window < 0:
-            raise ValueError("window must be >= 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
-        if not math.isfinite(self.threshold):
-            raise ValueError("threshold must be finite")
-        if not 0.0 <= self.random_p <= 1.0:
-            raise ValueError("random_p must lie in [0, 1]")
+        if type(self.window) is not int or self.window < 0:
+            raise ValueError(f"window must be an integer >= 0, got {self.window!r}")
+        if type(self.max_depth) is not int or self.max_depth < 1:
+            raise ValueError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
+        if type(self.n_candidates) is not int or self.n_candidates < 1:
+            raise ValueError(f"n_candidates must be an integer >= 1, got {self.n_candidates!r}")
+        if isinstance(self.threshold, bool) or not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
+        if isinstance(self.random_p, bool) or not 0.0 <= self.random_p <= 1.0:
+            raise ValueError(f"random_p must be a number in [0, 1], got {self.random_p!r}")
 
 
 @dataclass(frozen=True)
@@ -276,7 +274,6 @@ def run_ctrlz(
     reward: RewardSpec,
     params: CtrlZParams,
     seed: int = 0,
-    workers: int = 1,
 ) -> RunResult:
     """Reward-guided sampling with adaptive-depth zigzag exploration.
 
@@ -291,11 +288,9 @@ def run_ctrlz(
 
     ALWAYS skips the acceptance pre-check and explores at every eligible
     step; RANDOM does so with probability ``random_p`` and otherwise accepts
-    the step without a reward call, like a plain step. Candidates within one
-    depth may be evaluated by ``workers`` threads; results are identical for
-    any worker count.
+    the step without a reward call, like a plain step.
     """
-    return _search(ctx, x_T, cond, mix, sched, reward, params, seed, workers)
+    return _search(ctx, x_T, cond, mix, sched, reward, params, seed)
 
 
 def run_sop(
@@ -324,7 +319,7 @@ def run_sop(
         initiation=InitiationPolicy.ALWAYS,
         guidance=guidance,
     )
-    return replace(_search(ctx, x_T, cond, mix, sched, reward, params, seed, 1), events=[])
+    return replace(_search(ctx, x_T, cond, mix, sched, reward, params, seed), events=[])
 
 
 def _search(
@@ -336,7 +331,6 @@ def _search(
     reward: RewardSpec,
     params: CtrlZParams,
     seed: int,
-    workers: int,
 ) -> RunResult:
     """The one adaptive search loop behind ``run_ctrlz`` and ``run_sop``."""
     _check_start(x_T, sched)
@@ -350,52 +344,45 @@ def _search(
         explore_guidance = GuidanceConfig(params.guidance.omega, GuidanceMode.CFG)
 
     nfe0, rc0 = ctx.nfe_count, ctx.reward_calls
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    evaluate_all = pool.map if pool is not None else map
     trace: list[float] = []
     events: list[ExplorationEvent] = []
     r_prev = -math.inf
     state = x_T
-    try:
-        for t in range(T, 0, -1):
-            next_state, x0_hat = _advance(ctx, state, cond, mix, params.guidance, sched)
-            if t > T - params.window and _policy_fires(params, seed, t):
-                r = _scored(ctx, reward, cond, x0_hat)
-                if params.initiation is InitiationPolicy.REWARD_BASED and r >= r_prev + params.threshold:
-                    r_prev = r
-                    trace.append(r)
-                else:
-                    best_score, best_state = r, next_state
-                    terminated = TerminatedBy.DEPTH_CAP
-                    for depth in range(1, params.max_depth + 1):  # max_depth >= 1: always entered
-                        delta = min(depth, T - t)
-                        keys = [(seed, t, depth, i) for i in range(1, params.n_candidates + 1)]
-                        evaluate = partial(
-                            _evaluate_candidate, ctx, cond, mix, explore_guidance, sched, reward, state, delta
+    for t in range(T, 0, -1):
+        next_state, x0_hat = _advance(ctx, state, cond, mix, params.guidance, sched)
+        if t > T - params.window and _policy_fires(params, seed, t):
+            r = _scored(ctx, reward, cond, x0_hat)
+            if params.initiation is InitiationPolicy.REWARD_BASED and r >= r_prev + params.threshold:
+                r_prev = r
+                trace.append(r)
+            else:
+                best_score, best_state = r, next_state
+                terminated = TerminatedBy.DEPTH_CAP
+                for depth in range(1, params.max_depth + 1):  # max_depth >= 1: always entered
+                    delta = min(depth, T - t)
+                    for i in range(1, params.n_candidates + 1):
+                        cand_score, cand_state = _evaluate_candidate(
+                            ctx, cond, mix, explore_guidance, sched, reward, state, delta, (seed, t, depth, i)
                         )
-                        for cand_score, cand_state in evaluate_all(evaluate, keys):
-                            if cand_score > best_score:
-                                best_score, best_state = cand_score, cand_state
-                        if best_score >= r_prev + params.threshold:
-                            terminated = TerminatedBy.THRESHOLD_MET
-                            break
-                    events.append(
-                        ExplorationEvent(
-                            t=t,
-                            trigger=params.initiation.value,
-                            depths_tried=depth,
-                            candidates_evaluated=depth * params.n_candidates,
-                            terminal_depth=delta,
-                            terminated_by=terminated,
-                            accepted_score=best_score,
-                            default_score=r,
-                        )
+                        if cand_score > best_score:
+                            best_score, best_state = cand_score, cand_state
+                    if best_score >= r_prev + params.threshold:
+                        terminated = TerminatedBy.THRESHOLD_MET
+                        break
+                events.append(
+                    ExplorationEvent(
+                        t=t,
+                        trigger=params.initiation.value,
+                        depths_tried=depth,
+                        candidates_evaluated=depth * params.n_candidates,
+                        terminal_depth=delta,
+                        terminated_by=terminated,
+                        accepted_score=best_score,
+                        default_score=r,
                     )
-                    next_state = best_state
-                    r_prev = best_score
-                    trace.append(best_score)
-            state = next_state
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                )
+                next_state = best_state
+                r_prev = best_score
+                trace.append(best_score)
+        state = next_state
     return _finish(state, trace, events, ctx, nfe0, rc0, sched, seed)

@@ -1,8 +1,8 @@
 """Deterministic seed derivation shared by the samplers and the harness.
 
 Every stochastic draw in this package comes from a generator keyed by a
-structured integer tuple, so results never depend on evaluation order or
-worker count.
+structured integer tuple, so results never depend on the order in which
+runs or candidates are evaluated.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,24 @@ def base_doc(**overrides):
         (lambda d: d["seeds"].update(runs=0), "config.seeds.runs"),
         (lambda d: d["escape"].update(target=[1.0]), "config.escape.target"),
         (lambda d: d["guidance"].update(mode="pag"), "config.guidance.mode"),
+        pytest.param(lambda d: d["guidance"].update(omega=math.inf), "config.guidance.omega", id="omega-inf"),
+        pytest.param(lambda d: d["guidance"].update(omega=math.nan), "config.guidance.omega", id="omega-nan"),
+        pytest.param(
+            lambda d: d["mixture"]["means"][1].__setitem__(0, math.inf), "config.mixture.means[1][0]", id="mean-inf"
+        ),
+        pytest.param(lambda d: d["mixture"].update(scales=[0.7, math.inf]), "config.mixture.scales[1]", id="scale-inf"),
+        pytest.param(lambda d: d["reward"].update(target=[math.inf, 0.0]), "config.reward.target[0]", id="target-inf"),
+        pytest.param(
+            lambda d: d["mixture"].update(weights=[0.8 + 1e-10, 0.2]), "config.mixture.weights", id="weight-sum-1e-10"
+        ),
+        pytest.param(
+            lambda d: d["condition"].update(weights=[0.5 + 1e-10, 0.5]), "config.condition.weights", id="cond-sum-1e-10"
+        ),
+        pytest.param(
+            lambda d: d.update(condition={"kind": "component", "component": True}),
+            "config.condition.component",
+            id="component-bool",
+        ),
     ],
 )
 def test_parse_config_names_offending_field(mutate, field):
@@ -202,6 +221,43 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config.mixture.weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "strategy,key",
+    [
+        ({"name": "ctrlz", "max_depth": 2.5}, "max_depth"),
+        ({"name": "ctrlz", "n_candidates": 1.5}, "n_candidates"),
+        ({"name": "ctrlz", "window": True}, "window"),
+        ({"name": "ctrlz", "workers": 1}, "workers"),
+        ({"name": "ctrlz", "max_dept": 3}, "max_dept"),
+        ({"name": "ctrlz", "initiation": "sometimes"}, "sometimes"),
+        ({"name": "ctrlz", "window": 21}, "config.strategy.window"),
+        ({"name": "sop", "n_candidates": 0}, "config.strategy.n_candidates"),
+        ({"name": "sop", "n_candidates": "4"}, "config.strategy.n_candidates"),
+        ({"name": "zsampling", "inversion_omega": -1}, "config.strategy.inversion_omega"),
+        ({"name": "zsampling", "inversion_omega": "x"}, "config.strategy.inversion_omega"),
+        ({"name": "ddim", "window": 40}, "config.strategy.window"),
+    ],
+)
+def test_cli_rejects_bad_strategy_parameters(tmp_path, capsys, strategy, key):
+    path = write_config(tmp_path, base_doc(strategy=strategy))
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["--runs", "0"], "config.seeds.runs"),
+        (["--runs", "-3"], "config.seeds.runs"),
+        (["--seed", "-1"], "config.seeds.master_seed"),
+    ],
+)
+def test_cli_seed_overrides_are_validated(tmp_path, capsys, flags, field):
+    path = write_config(tmp_path, base_doc())
+    assert cli_main(["run", str(path), *flags, "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_cli_numeric_error_exit_code(tmp_path, capsys):

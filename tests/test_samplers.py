@@ -205,11 +205,13 @@ def test_ctrlz_unreachable_threshold_always_hits_depth_cap(sched50, two_mode_mix
         assert ev.depths_tried == 2
 
 
-def test_ctrlz_worker_count_does_not_change_results(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_run_order_and_shared_context_do_not_change_results(sched50, two_mode_mix, balanced_cond):
     params = default_params()
-    one = run_ctrlz(EvalContext(), start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=21, workers=1)
-    many = run_ctrlz(EvalContext(), start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=21, workers=6)
-    assert one == many
+    alone = run_ctrlz(EvalContext(), start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=21)
+    shared = EvalContext()
+    run_ctrlz(shared, start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=22)
+    after = run_ctrlz(shared, start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=21)
+    assert after == alone
 
 
 def test_ctrlz_random_policy_edge_probabilities(sched50, two_mode_mix, balanced_cond):
@@ -257,6 +259,13 @@ def test_ctrlz_rejects_bad_arguments(sched50, two_mode_mix, balanced_cond):
         CtrlZParams(max_depth=0)
     with pytest.raises(ValueError):
         CtrlZParams(random_p=1.5)
+    for field in ("window", "max_depth", "n_candidates"):
+        for value in (2.5, "4", True):
+            with pytest.raises(ValueError, match=field):
+                CtrlZParams(**{field: value})
+    for field in ("threshold", "random_p"):
+        with pytest.raises(ValueError, match=field):
+            CtrlZParams(**{field: True})
 
 
 def test_samplers_reject_misplaced_start(sched50, two_mode_mix, balanced_cond):
