@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,18 @@ from .schedule import NoiseSchedule, build_linear_schedule, subsample
 from .seeding import keyed_rng, mix_seed
 
 STRATEGY_NAMES = ("ddim", "resampling", "zsampling", "sop", "ctrlz")
+_MAX_SCALE = 1e150  # the denoiser forms 2 * pi * scale**2, which must stay a finite float
+
+_SECTIONS: dict[str, tuple[str, ...] | None] = {
+    "schedule": ("family", "train_steps", "infer_steps", "beta_start", "beta_end"),
+    "mixture": ("weights", "means", "scales"),
+    "condition": ("kind", "component", "weights"),
+    "reward": ("kind", "target", "inner_radius", "outer_radius", "plateau_value", "peak_value"),
+    "guidance": ("omega", "mode"),
+    "strategy": None,  # _sampler checks the strategy's keys
+    "seeds": ("master_seed", "runs"),
+    "escape": ("target", "radius"),
+}
 
 
 class ConfigError(ValueError):
@@ -41,18 +53,19 @@ class ConfigError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-def _get(d: Mapping[str, Any], key: str, path: str, required: bool = True, default: Any = None) -> Any:
+def _get(d: Mapping[str, Any], key: str, path: str) -> Any:
     if key not in d:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
+        raise ConfigError(f"{path}.{key}", "missing required field")
     return d[key]
 
 
 def _section(doc: Mapping[str, Any], key: str, default: Any = None) -> Mapping[str, Any]:
-    value = _get(doc, key, "config", required=default is None, default=default)
+    value = _get(doc, key, "config") if default is None else doc.get(key, default)
     if not isinstance(value, Mapping):
         raise ConfigError(f"config.{key}", "expected an object")
+    for name in value:
+        if _SECTIONS[key] is not None and name not in _SECTIONS[key]:
+            raise ConfigError(f"config.{key}.{name}", "unknown key")
     return value
 
 
@@ -63,7 +76,8 @@ def _positive_int(value: Any, path: str) -> int:
 
 
 def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # Unlike math.isfinite, this comparison does not overflow on a JSON integer beyond the float range.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ConfigError(path, f"expected finite number, got {value!r}")
     return float(value)
 
@@ -76,17 +90,14 @@ def _vector(value: Any, path: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    family: str = "linear"
-    train_steps: int = 1000
-    infer_steps: int = 50
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
+    family: str
+    train_steps: int
+    infer_steps: int
+    beta_start: float
+    beta_end: float
 
     def build(self) -> NoiseSchedule:
-        parent = build_linear_schedule(self.train_steps, self.beta_start, self.beta_end)
-        if self.infer_steps == self.train_steps:
-            return parent
-        return subsample(parent, self.infer_steps)
+        return subsample(build_linear_schedule(self.train_steps, self.beta_start, self.beta_end), self.infer_steps)
 
 
 @dataclass(frozen=True)
@@ -101,9 +112,9 @@ class MixtureConfig:
 
 @dataclass(frozen=True)
 class ConditionConfig:
-    kind: str = "unconditional"
-    component: int = 0
-    weights: tuple[float, ...] = ()
+    kind: str
+    component: int
+    weights: tuple[float, ...]
 
     def build(self) -> Condition:
         if self.kind == "unconditional":
@@ -116,11 +127,11 @@ class ConditionConfig:
 @dataclass(frozen=True)
 class RewardConfig:
     kind: str
-    target: tuple[float, ...] = ()
-    inner_radius: float = 1.0
-    outer_radius: float = 2.0
-    plateau_value: float = 0.0
-    peak_value: float = 1.0
+    target: tuple[float, ...]
+    inner_radius: float
+    outer_radius: float
+    plateau_value: float
+    peak_value: float
 
     def build(self, mix: GaussianMixture) -> RewardSpec:
         if self.kind == "neg_distance":
@@ -138,20 +149,20 @@ class RewardConfig:
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    name: str = "ddim"
-    params: Mapping[str, Any] = field(default_factory=dict)
+    name: str
+    params: Mapping[str, Any]
 
 
 @dataclass(frozen=True)
 class SeedConfig:
-    master_seed: int = 0
-    runs: int = 1
+    master_seed: int
+    runs: int
 
 
 @dataclass(frozen=True)
 class EscapeConfig:
     target: tuple[float, ...]
-    radius: float = 1.0
+    radius: float
 
 
 @dataclass(frozen=True)
@@ -161,10 +172,10 @@ class ExperimentConfig:
     condition: ConditionConfig
     reward: RewardConfig
     strategy: StrategyConfig
-    guidance_omega: float = 1.0
-    guidance_mode: str = "cfg"
-    seeds: SeedConfig = field(default_factory=SeedConfig)
-    escape: EscapeConfig | None = None
+    guidance_omega: float
+    guidance_mode: str
+    seeds: SeedConfig
+    escape: EscapeConfig | None
 
     def build_guidance(self) -> GuidanceConfig:
         return GuidanceConfig(self.guidance_omega, GuidanceMode(self.guidance_mode))
@@ -179,6 +190,9 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     """
     if not isinstance(doc, Mapping):
         raise ConfigError("config", "top level must be an object")
+    for key in doc:
+        if key not in _SECTIONS:
+            raise ConfigError(f"config.{key}", "unknown section")
 
     sch = _section(doc, "schedule", {})
     family = sch.get("family", "linear")
@@ -190,9 +204,11 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
         raise ConfigError("config.schedule.infer_steps", "cannot exceed train_steps")
     beta_start = _number(sch.get("beta_start", 1e-4), "config.schedule.beta_start")
     beta_end = _number(sch.get("beta_end", 0.02), "config.schedule.beta_end")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ConfigError("config.schedule.beta_start", "require 0 < beta_start <= beta_end < 1")
     schedule = ScheduleConfig(family, train_steps, infer_steps, beta_start, beta_end)
+    try:
+        schedule.build()
+    except ValueError as exc:
+        raise ConfigError("config.schedule.beta_start", str(exc)) from None
 
     mx = _section(doc, "mixture")
     weights = _vector(_get(mx, "weights", "config.mixture"), "config.mixture.weights")
@@ -207,12 +223,12 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
         raise ConfigError("config.mixture.scales", "must list one scale per weight")
     if abs(float(np.sum(weights)) - 1.0) > _WEIGHT_TOL or any(w <= 0 for w in weights):
         raise ConfigError("config.mixture.weights", "weights must be positive and sum to 1")
-    if any(s <= 0 for s in scales):
-        raise ConfigError("config.mixture.scales", "scales must be > 0")
+    if any(not 0 < s <= _MAX_SCALE for s in scales):
+        raise ConfigError("config.mixture.scales", f"scales must lie in (0, {_MAX_SCALE:g}]")
     mixture = MixtureConfig(weights, means, scales)
     dim = len(means[0])
 
-    cn = _section(doc, "condition", {"kind": "unconditional"})
+    cn = _section(doc, "condition", {})
     ckind = cn.get("kind", "unconditional")
     if ckind not in ("unconditional", "component", "reweight"):
         raise ConfigError("config.condition.kind", f"unknown kind {ckind!r}")
@@ -235,20 +251,18 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     if rkind not in ("neg_distance", "log_density", "plateau"):
         raise ConfigError("config.reward.kind", f"unknown kind {rkind!r}")
     rtarget: tuple[float, ...] = ()
-    inner, outer, plateau_value, peak_value = 1.0, 2.0, 0.0, 1.0
     if rkind in ("neg_distance", "plateau"):
         rtarget = _vector(_get(rw, "target", "config.reward"), "config.reward.target")
         if len(rtarget) != dim:
             raise ConfigError("config.reward.target", "dimension must match mixture means")
-    if rkind == "plateau":
-        inner = _number(rw.get("inner_radius", 1.0), "config.reward.inner_radius")
-        outer = _number(rw.get("outer_radius", 2.0), "config.reward.outer_radius")
-        plateau_value = _number(rw.get("plateau_value", 0.0), "config.reward.plateau_value")
-        peak_value = _number(rw.get("peak_value", 1.0), "config.reward.peak_value")
-        if not 0.0 < inner < outer:
-            raise ConfigError("config.reward.inner_radius", "require 0 < inner_radius < outer_radius")
-        if not plateau_value < peak_value:
-            raise ConfigError("config.reward.plateau_value", "must be < peak_value")
+    inner = _number(rw.get("inner_radius", 1.0), "config.reward.inner_radius")
+    outer = _number(rw.get("outer_radius", 2.0), "config.reward.outer_radius")
+    plateau_value = _number(rw.get("plateau_value", 0.0), "config.reward.plateau_value")
+    peak_value = _number(rw.get("peak_value", 1.0), "config.reward.peak_value")
+    if not 0.0 < inner < outer:
+        raise ConfigError("config.reward.inner_radius", "require 0 < inner_radius < outer_radius")
+    if not plateau_value < peak_value:
+        raise ConfigError("config.reward.plateau_value", "must be < peak_value")
     reward = RewardConfig(rkind, rtarget, inner, outer, plateau_value, peak_value)
 
     gd = _section(doc, "guidance", {})
@@ -259,11 +273,8 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     if omega < 0:
         raise ConfigError("config.guidance.omega", "must be >= 0")
 
-    st = _section(doc, "strategy", {"name": "ddim"})
-    sname = st.get("name", "ddim")
-    if sname not in STRATEGY_NAMES:
-        raise ConfigError("config.strategy.name", f"unknown strategy {sname!r}")
-    strategy = StrategyConfig(sname, {k: v for k, v in st.items() if k != "name"})
+    st = _section(doc, "strategy", {})
+    strategy = StrategyConfig(st.get("name", "ddim"), {k: v for k, v in st.items() if k != "name"})
 
     sd = _section(doc, "seeds", {})
     if master_seed is None:
@@ -274,8 +285,8 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     seeds = SeedConfig(master_seed, runs)
 
     escape: EscapeConfig | None = None
-    if "escape" in doc:
-        es = _section(doc, "escape")
+    if "escape" in doc or rtarget:
+        es = _section(doc, "escape", {"target": rtarget})
         etarget = _vector(_get(es, "target", "config.escape"), "config.escape.target")
         if len(etarget) != dim:
             raise ConfigError("config.escape.target", "dimension must match mixture means")
@@ -283,11 +294,9 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
         if radius <= 0:
             raise ConfigError("config.escape.radius", "must be > 0")
         escape = EscapeConfig(etarget, radius)
-    elif rtarget:
-        escape = EscapeConfig(rtarget, 1.0)
 
     cfg = ExperimentConfig(schedule, mixture, condition, reward, strategy, omega, gmode, seeds, escape)
-    _strategy_arg(strategy, cfg.build_guidance(), infer_steps)
+    _sampler(strategy, cfg.build_guidance(), infer_steps)
     return cfg
 
 
@@ -323,11 +332,19 @@ class StrategyOutcome:
     escaped: list[bool] | None
 
 
-def _strategy_arg(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> Any:
-    """Check a strategy's parameters for ``steps`` sampling steps; build what its sampler takes."""
+def _sampler(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> Callable[..., RunResult]:
+    """Check a strategy's name and its parameters for ``steps`` sampling steps.
+
+    Returns its sampler with the parameters bound, called as
+    ``run(ctx, x_T, cond, mix, sched, reward, seed)``. Each call looks up the
+    ``run_*`` function anew, so rebinding it on this module (as a tracer does)
+    takes effect.
+    """
     path = "config.strategy"
-    params = dict(strategy.params)
-    if strategy.name == "ctrlz":
+    name, params = strategy.name, dict(strategy.params)
+    if name not in STRATEGY_NAMES:
+        raise ConfigError(f"{path}.name", f"unknown strategy {name!r}")
+    if name == "ctrlz":
         try:
             for key, kind in (("initiation", InitiationPolicy), ("exploration_guidance", ExplorationGuidance)):
                 if key in params:
@@ -337,42 +354,23 @@ def _strategy_arg(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int
             raise ConfigError(path, str(exc)) from None
         if ctrlz.window > steps:
             raise ConfigError(f"{path}.window", f"{ctrlz.window} exceeds the {steps} sampling steps")
-        return ctrlz
-    known = {"sop": "n_candidates", "zsampling": "inversion_omega"}.get(strategy.name)
+        return lambda ctx, x_T, cond, mix, sched, reward, seed: run_ctrlz(ctx, x_T, cond, mix, sched, reward, ctrlz, seed)
+    known = {"sop": "n_candidates", "zsampling": "inversion_omega"}.get(name)
     for key in params:
         if key != known:
-            raise ConfigError(f"{path}.{key}", f"not a parameter of strategy {strategy.name!r}")
-    if strategy.name == "sop":
-        return _positive_int(params.get("n_candidates", 4), f"{path}.n_candidates")
-    if strategy.name == "zsampling":
+            raise ConfigError(f"{path}.{key}", f"not a parameter of strategy {name!r}")
+    if name == "sop":
+        n = _positive_int(params.get("n_candidates", 4), f"{path}.n_candidates")
+        return lambda ctx, x_T, cond, mix, sched, reward, seed: run_sop(ctx, x_T, cond, mix, guidance, sched, reward, n, seed)
+    if name == "zsampling":
         omega = _number(params.get("inversion_omega", 0.0), f"{path}.inversion_omega")
         if omega < 0:
             raise ConfigError(f"{path}.inversion_omega", "must be >= 0")
-        return GuidanceConfig(omega, GuidanceMode.CFG)
-    return None
-
-
-def _run_one(
-    name: str,
-    strategy_arg: Any,
-    sched: NoiseSchedule,
-    mix: GaussianMixture,
-    cond: Condition,
-    reward: RewardSpec,
-    guidance: GuidanceConfig,
-    run_seed: int,
-) -> RunResult:
-    ctx = EvalContext()
-    x_T = LatentState(keyed_rng(run_seed, 0).standard_normal(mix.dim), sched.num_steps)
-    if name == "ddim":
-        return run_ddim(ctx, x_T, cond, mix, guidance, sched, reward=None, seed=run_seed)
+        inv = GuidanceConfig(omega, GuidanceMode.CFG)
+        return lambda ctx, x_T, cond, mix, sched, reward, seed: run_zsampling(ctx, x_T, cond, mix, guidance, sched, inv, seed)
     if name == "resampling":
-        return run_resampling(ctx, x_T, cond, mix, guidance, sched, seed=run_seed)
-    if name == "zsampling":
-        return run_zsampling(ctx, x_T, cond, mix, guidance, sched, inversion_guidance=strategy_arg, seed=run_seed)
-    if name == "sop":
-        return run_sop(ctx, x_T, cond, mix, guidance, sched, reward, strategy_arg, seed=run_seed)
-    return run_ctrlz(ctx, x_T, cond, mix, sched, reward, strategy_arg, seed=run_seed)
+        return lambda ctx, x_T, cond, mix, sched, reward, seed: run_resampling(ctx, x_T, cond, mix, guidance, sched, seed)
+    return lambda ctx, x_T, cond, mix, sched, reward, seed: run_ddim(ctx, x_T, cond, mix, guidance, sched, None, seed)
 
 
 def _aggregate(
@@ -387,7 +385,8 @@ def _aggregate(
     escape_rate: float | None = None
     if cfg.escape is not None:
         target = np.array(cfg.escape.target)
-        escaped = [bool(np.linalg.norm(r.x0 - target) <= cfg.escape.radius) for r in results]
+        with np.errstate(over="ignore"):  # a distance too large for a float is +inf: not escaped
+            escaped = [bool(np.linalg.norm(r.x0 - target) <= cfg.escape.radius) for r in results]
         escape_rate = sum(escaped) / len(escaped)
     initiation: dict[str, int] = {}
     depth: dict[str, int] = {}
@@ -426,12 +425,12 @@ def run_experiment(
     mix = cfg.mixture.build()
     cond = cfg.condition.build()
     reward = cfg.reward.build(mix)
-    guidance = cfg.build_guidance()
-    strategy_arg = _strategy_arg(strat, guidance, sched.num_steps)
+    run = _sampler(strat, cfg.build_guidance(), sched.num_steps)
     results = []
     for run_index in range(cfg.seeds.runs):
         run_seed = mix_seed(cfg.seeds.master_seed, run_index)
-        results.append(_run_one(strat.name, strategy_arg, sched, mix, cond, reward, guidance, run_seed))
+        x_T = LatentState(keyed_rng(run_seed, 0).standard_normal(mix.dim), sched.num_steps)
+        results.append(run(EvalContext(), x_T, cond, mix, sched, reward, run_seed))
     return _aggregate(label or strat.name, results, cfg, cond, reward)
 
 

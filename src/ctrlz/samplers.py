@@ -66,9 +66,9 @@ class CtrlZParams:
             raise ValueError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
         if type(self.n_candidates) is not int or self.n_candidates < 1:
             raise ValueError(f"n_candidates must be an integer >= 1, got {self.n_candidates!r}")
-        if isinstance(self.threshold, bool) or not math.isfinite(self.threshold):
+        if type(self.threshold) not in (int, float) or not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
-        if isinstance(self.random_p, bool) or not 0.0 <= self.random_p <= 1.0:
+        if type(self.random_p) not in (int, float) or not 0.0 <= self.random_p <= 1.0:
             raise ValueError(f"random_p must be a number in [0, 1], got {self.random_p!r}")
 
 

@@ -2,13 +2,17 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctrlz.cli import main as cli_main
 from ctrlz.harness import (
+    STRATEGY_NAMES,
     ConfigError,
     StrategyConfig,
     compare,
@@ -74,6 +78,13 @@ def base_doc(**overrides):
             lambda d: d.update(condition={"kind": "component", "component": True}),
             "config.condition.component",
             id="component-bool",
+        ),
+        pytest.param(lambda d: d["schedule"].update(infer_step=20), "config.schedule.infer_step", id="schedule-typo"),
+        pytest.param(lambda d: d.update(guidence={"omega": 2.0}), "config.guidence", id="unknown-section"),
+        pytest.param(
+            lambda d: d["schedule"].update(train_steps=1000, infer_steps=50, beta_start=0.5, beta_end=0.99),
+            "config.schedule.beta_start",
+            id="alpha-bar-underflow",
         ),
     ],
 )
@@ -143,6 +154,9 @@ def test_compare_reproduces_reference_nfe_column():
         compare(cfg, [])
     with pytest.raises(ConfigError):
         compare(cfg, ["mcts"])
+    with pytest.raises(ConfigError) as err:
+        run_experiment(cfg, StrategyConfig("mcts", {}))
+    assert err.value.field == "config.strategy.name"
 
 
 def read_outputs(out: Path) -> dict[str, bytes]:
@@ -238,6 +252,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ({"name": "zsampling", "inversion_omega": -1}, "config.strategy.inversion_omega"),
         ({"name": "zsampling", "inversion_omega": "x"}, "config.strategy.inversion_omega"),
         ({"name": "ddim", "window": 40}, "config.strategy.window"),
+        pytest.param({"name": "ctrlz", "threshold": "x"}, "threshold", id="threshold-str"),
+        pytest.param({"name": "ctrlz", "random_p": "x"}, "random_p", id="random_p-str"),
     ],
 )
 def test_cli_rejects_bad_strategy_parameters(tmp_path, capsys, strategy, key):
@@ -278,3 +294,88 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+# Every key of the config schema, so that an edit can reach the optional ones too.
+FUZZ_KEYS = {
+    "schedule": ("family", "train_steps", "infer_steps", "beta_start", "beta_end"),
+    "mixture": ("weights", "means", "scales"),
+    "condition": ("kind", "component", "weights"),
+    "reward": ("kind", "target", "inner_radius", "outer_radius", "plateau_value", "peak_value"),
+    "guidance": ("omega", "mode"),
+    "strategy": (
+        "name", "window", "threshold", "max_depth", "n_candidates", "initiation", "random_p",
+        "exploration_guidance", "inversion_omega",
+    ),
+    "seeds": ("master_seed", "runs"),
+    "escape": ("target", "radius"),
+}
+# Upper bounds of integer draws for count fields, so that every example stays tiny.
+FUZZ_COUNTS = {"train_steps": 20, "infer_steps": 5, "runs": 1, "window": 5, "max_depth": 3, "n_candidates": 4}
+FUZZ_WORDS = (
+    "linear", "unconditional", "component", "reweight", "neg_distance", "log_density", "plateau", "cfg", "cfg++",
+    "reward_based", "always", "random", "same", "cfg_in_exploration", *STRATEGY_NAMES,
+)
+FUZZ_REWARDS = {
+    "neg_distance": {"kind": "neg_distance", "target": [3.0, 0.0]},
+    "log_density": {"kind": "log_density"},
+    "plateau": {"kind": "plateau", "target": [3.0, 0.0], "inner_radius": 1.0, "outer_radius": 2.0},
+}
+DELETE = "<delete>"
+
+
+def fuzz_doc(reward: str) -> dict:
+    return {
+        "schedule": {"train_steps": 20, "infer_steps": 5},
+        "mixture": {"weights": [0.8, 0.2], "means": [[-3.0, 0.0], [3.0, 0.0]], "scales": [0.7, 0.7]},
+        "condition": {"kind": "reweight", "weights": [0.5, 0.5]},
+        "reward": dict(FUZZ_REWARDS[reward]),
+        "guidance": {"omega": 2.0},
+        "strategy": {"name": "ctrlz", "window": 4, "max_depth": 2, "n_candidates": 2},
+        "seeds": {"master_seed": 1, "runs": 1},
+        "escape": {"target": [3.0, 0.0]},
+    }
+
+
+def fuzz_values(key: str | None):
+    number = st.integers(-1, FUZZ_COUNTS[key]) if key in FUZZ_COUNTS else st.integers() | st.floats()
+    scalar = st.none() | st.booleans() | number | st.floats() | st.sampled_from(FUZZ_WORDS) | st.text(max_size=3)
+    return (
+        scalar
+        | st.lists(scalar, max_size=3)
+        | st.lists(st.lists(st.floats(), max_size=3), max_size=3)
+        | st.dictionaries(st.text(max_size=2), scalar, max_size=2)
+    )
+
+
+@st.composite
+def fuzz_edits(draw):
+    """One edit: (section, key or None for the whole section, new value or DELETE)."""
+    section = draw(st.sampled_from([*FUZZ_KEYS, "extra"]))
+    key = draw(st.sampled_from([None, *FUZZ_KEYS.get(section, ()), "extra"]))
+    return section, key, draw(st.just(DELETE) | fuzz_values(key))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["run", "compare", "sweep"]), st.sampled_from(sorted(FUZZ_REWARDS)), fuzz_edits())
+# A scale whose variance overflows, with the reward that also squares it.
+@example("run", "neg_distance", ("mixture", "scales", [1e200, 0.7]))
+@example("run", "log_density", ("mixture", "scales", [1e200, 0.7]))
+# Overflow in the escape distance.
+@example("run", "neg_distance", ("escape", "target", [1e308, 1e308]))
+# An integer that no float can hold.
+@example("run", "neg_distance", ("guidance", "omega", 10**400))
+def test_cli_exits_0_2_or_3_after_any_one_edit(command, reward, edit):
+    """No edit of one field makes the CLI raise; pytest turns any warning into an error too."""
+    doc = fuzz_doc(reward)
+    section, key, value = edit
+    parent = doc if key is None else doc.setdefault(section, {})
+    key = section if key is None else key
+    if value == DELETE:
+        parent.pop(key, None)
+    else:
+        parent[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main([command, str(path), "--out", str(Path(tmp) / "out")]) in (0, 2, 3)

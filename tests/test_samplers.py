@@ -264,8 +264,9 @@ def test_ctrlz_rejects_bad_arguments(sched50, two_mode_mix, balanced_cond):
             with pytest.raises(ValueError, match=field):
                 CtrlZParams(**{field: value})
     for field in ("threshold", "random_p"):
-        with pytest.raises(ValueError, match=field):
-            CtrlZParams(**{field: True})
+        for value in (True, "x"):
+            with pytest.raises(ValueError, match=field):
+                CtrlZParams(**{field: value})
 
 
 def test_samplers_reject_misplaced_start(sched50, two_mode_mix, balanced_cond):
