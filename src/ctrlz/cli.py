@@ -7,7 +7,7 @@ import sys
 from typing import Sequence
 
 from .dynamics import NonFiniteError
-from .harness import ConfigError, compare, load_config, run_experiment, sweep, write_outputs
+from .harness import STRATEGY_NAMES, ConfigError, compare, load_config, run_experiment, sweep, write_outputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cmp)
     p_cmp.add_argument(
         "--strategies",
-        default="ddim,resampling,zsampling,sop,ctrlz",
-        help="comma-separated strategy names",
+        default=",".join(STRATEGY_NAMES),
+        help=f"comma-separated strategy names from {', '.join(STRATEGY_NAMES)} (default: all)",
     )
     return parser
 
@@ -63,7 +63,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonFiniteError, FloatingPointError) as exc:
+    except NonFiniteError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -90,7 +90,6 @@ def _vector(value: Any, path: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    family: str
     train_steps: int
     infer_steps: int
     beta_start: float
@@ -195,16 +194,15 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
             raise ConfigError(f"config.{key}", "unknown section")
 
     sch = _section(doc, "schedule", {})
-    family = sch.get("family", "linear")
-    if family != "linear":
-        raise ConfigError("config.schedule.family", f"unsupported family {family!r}")
+    if sch.get("family", "linear") != "linear":
+        raise ConfigError("config.schedule.family", f"unsupported family {sch['family']!r}")
     train_steps = _positive_int(sch.get("train_steps", 1000), "config.schedule.train_steps")
     infer_steps = _positive_int(sch.get("infer_steps", 50), "config.schedule.infer_steps")
     if infer_steps > train_steps:
         raise ConfigError("config.schedule.infer_steps", "cannot exceed train_steps")
     beta_start = _number(sch.get("beta_start", 1e-4), "config.schedule.beta_start")
     beta_end = _number(sch.get("beta_end", 0.02), "config.schedule.beta_end")
-    schedule = ScheduleConfig(family, train_steps, infer_steps, beta_start, beta_end)
+    schedule = ScheduleConfig(train_steps, infer_steps, beta_start, beta_end)
     try:
         schedule.build()
     except ValueError as exc:
@@ -279,8 +277,8 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     sd = _section(doc, "seeds", {})
     if master_seed is None:
         master_seed = sd.get("master_seed", 0)
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool) or master_seed < 0:
-        raise ConfigError("config.seeds.master_seed", f"expected nonnegative integer, got {master_seed!r}")
+    if not isinstance(master_seed, int) or isinstance(master_seed, bool) or not 0 <= master_seed < 2**64:
+        raise ConfigError("config.seeds.master_seed", f"expected an integer in [0, 2**64), got {master_seed!r}")
     runs = _positive_int(sd.get("runs", 1) if runs is None else runs, "config.seeds.runs")
     seeds = SeedConfig(master_seed, runs)
 
@@ -455,6 +453,8 @@ def sweep(
     """Grid of adaptive-search depth/width settings over paired seeds."""
     if not max_depths or not candidate_counts:
         raise ConfigError("grid", "sweep grid must be nonempty")
+    for value in (*max_depths, *candidate_counts):
+        _positive_int(value, "grid")
     if cfg.strategy.name != "ctrlz":
         raise ConfigError("config.strategy.name", "sweep requires the ctrlz strategy")
     outcomes: dict[str, StrategyOutcome] = {}

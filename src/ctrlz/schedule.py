@@ -1,4 +1,4 @@
-"""Discrete noise schedules and their cumulative signal-retention products."""
+"""Discrete noise schedules as cumulative signal-retention products."""
 
 from __future__ import annotations
 
@@ -6,56 +6,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# One extra bit of slack on top of 1e-15 covers the quantization of a beta
-# stored as float64 when the retention ratio it encodes is itself near 1.
-_RECURRENCE_RTOL = 1e-15
-
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise fractions and their running products.
+    """Cumulative signal-retention products, one per noise level.
 
-    ``betas`` has length ``num_steps``; ``alpha_bars`` has length
-    ``num_steps + 1`` with the sentinel ``alpha_bars[0] == 1.0`` (fully
-    clean), so level 0 means data and level ``num_steps`` means maximal
-    noise. Instances are immutable and safe to share across threads.
+    ``alpha_bars`` has length ``num_steps + 1`` with the sentinel
+    ``alpha_bars[0] == 1.0`` (fully clean), so level 0 means data and level
+    ``num_steps`` means maximal noise. Instances are immutable and safe to
+    share across threads.
     """
 
     num_steps: int
-    betas: np.ndarray
     alpha_bars: np.ndarray
 
     def __post_init__(self):
         if self.num_steps < 1:
             raise ValueError("num_steps must be >= 1")
-        betas = np.asarray(self.betas, dtype=np.float64).copy()
         abars = np.asarray(self.alpha_bars, dtype=np.float64).copy()
-        if betas.shape != (self.num_steps,):
-            raise ValueError(f"betas must have shape ({self.num_steps},), got {betas.shape}")
         if abars.shape != (self.num_steps + 1,):
             raise ValueError(f"alpha_bars must have shape ({self.num_steps + 1},), got {abars.shape}")
         if abars[0] != 1.0:
             raise ValueError("alpha_bars[0] must be exactly 1.0")
-        if not np.all(np.isfinite(betas)) or not np.all(np.isfinite(abars)):
+        if not np.all(np.isfinite(abars)):
             raise ValueError("schedule entries must be finite")
-        if np.any(betas < 0.0) or np.any(betas >= 1.0):
-            raise ValueError("betas must lie in [0, 1)")
         if np.any(abars <= 0.0) or np.any(abars > 1.0):
             raise ValueError("alpha_bars must lie in (0, 1]")
-        # Recurrence alpha_bar[t] == alpha_bar[t-1] * (1 - beta[t]), scaled by
-        # the larger (previous) value so the bound stays honest for steep drops.
-        recon = abars[:-1] * (1.0 - betas)
-        if np.any(np.abs(recon - abars[1:]) > _RECURRENCE_RTOL * abars[:-1]):
-            raise ValueError("alpha_bars inconsistent with betas beyond tolerance")
         if np.any(abars[1:] > abars[:-1]):
             raise ValueError("alpha_bars must be nonincreasing")
-        # Strict decrease wherever beta is large enough to round 1 - beta below 1.
-        effective = (1.0 - betas) < 1.0
-        if np.any((abars[1:] == abars[:-1]) & effective):
-            raise ValueError("alpha_bars must strictly decrease where beta > 0")
-        betas.setflags(write=False)
         abars.setflags(write=False)
-        object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "alpha_bars", abars)
 
     def alpha_bar(self, t: int) -> float:
@@ -72,33 +51,20 @@ def build_linear_schedule(num_steps: int, beta_start: float, beta_end: float) ->
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("require 0 < beta_start <= beta_end < 1")
     betas = np.linspace(beta_start, beta_end, num_steps)
-    alpha_bars = np.concatenate(([1.0], np.cumprod(1.0 - betas)))
-    return NoiseSchedule(num_steps, betas, alpha_bars)
+    return NoiseSchedule(num_steps, np.concatenate(([1.0], np.cumprod(1.0 - betas))))
 
 
 def subsample(parent: NoiseSchedule, steps: int) -> NoiseSchedule:
     """Restrict ``parent`` to ``steps`` evenly spaced levels.
 
-    The noisiest parent level is always kept, selected alpha_bars are carried
-    over bit-exactly, and betas are recomputed from consecutive ratios.
+    The noisiest parent level is always kept and the selected alpha_bars are
+    carried over bit-exactly.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if steps > parent.num_steps:
         raise ValueError(f"steps {steps} exceeds parent num_steps {parent.num_steps}")
-    if steps == parent.num_steps:
-        return NoiseSchedule(parent.num_steps, parent.betas, parent.alpha_bars)
     indices = np.round(np.linspace(parent.num_steps / steps, parent.num_steps, steps)).astype(int)
     if indices[-1] != parent.num_steps or np.any(np.diff(indices) <= 0):
         raise AssertionError("subsample index selection is not strictly increasing")
-    picks = parent.alpha_bars[indices]
-    # Derive each beta against the replayed float product so reconstructing
-    # alpha_bars from the child betas does not accumulate rounding drift.
-    betas = np.empty(steps)
-    running = 1.0
-    for j, target in enumerate(picks):
-        beta = 1.0 - target / running
-        betas[j] = beta
-        running = running * (1.0 - beta)
-    alpha_bars = np.concatenate(([1.0], picks))
-    return NoiseSchedule(steps, betas, alpha_bars)
+    return NoiseSchedule(steps, np.concatenate(([1.0], parent.alpha_bars[indices])))

@@ -45,7 +45,7 @@ def test_clean_estimate_rejects_data_level():
 
 
 def test_ddim_step_degenerate_when_products_equal():
-    sched = NoiseSchedule(2, np.array([0.2, 0.0]), np.array([1.0, 0.8, 0.8]))
+    sched = NoiseSchedule(2, np.array([1.0, 0.8, 0.8]))
     x = LatentState(np.array([0.3, -1.1]), 2)
     eps = np.array([0.5, 0.25])
     nxt, _ = ddim_step(x, eps, eps, sched)
@@ -62,7 +62,7 @@ def test_ddim_final_step_returns_clean_estimate():
 
 def test_ddim_step_scalar_oracle():
     # ab_t = 0.25, ab_{t-1} = 0.64, x = 1.0, eps = 0.5, evaluated directly
-    sched = NoiseSchedule(2, np.array([0.36, 1.0 - 0.25 / 0.64]), np.array([1.0, 0.64, 0.25]))
+    sched = NoiseSchedule(2, np.array([1.0, 0.64, 0.25]))
     nxt, x0_hat = ddim_step(LatentState(np.array([1.0]), 2), np.array([0.5]), np.array([0.5]), sched)
     expected_x0 = (1.0 - math.sqrt(0.75) * 0.5) / math.sqrt(0.25)
     expected_prev = math.sqrt(0.64) * expected_x0 + math.sqrt(0.36) * 0.5
@@ -142,7 +142,7 @@ def test_deterministic_invert_zero_eps_is_rescale():
 
 
 def test_deterministic_invert_scalar_oracle():
-    sched = NoiseSchedule(2, np.array([0.36, 1.0 - 0.25 / 0.64]), np.array([1.0, 0.64, 0.25]))
+    sched = NoiseSchedule(2, np.array([1.0, 0.64, 0.25]))
     out = deterministic_invert(LatentState(np.array([1.0]), 1), np.array([0.5]), sched)
     scale = math.sqrt(0.25 / 0.64)
     expected = scale * 1.0 + (math.sqrt(0.75) - scale * math.sqrt(0.36)) * 0.5

@@ -86,6 +86,7 @@ def base_doc(**overrides):
             "config.schedule.beta_start",
             id="alpha-bar-underflow",
         ),
+        pytest.param(lambda d: d["seeds"].update(master_seed=2**64), "config.seeds.master_seed", id="seed-beyond-u64"),
     ],
 )
 def test_parse_config_names_offending_field(mutate, field):
@@ -128,6 +129,14 @@ def test_sweep_requires_ctrlz_and_nonempty_grid():
     cfg2 = parse_config(base_doc())
     with pytest.raises(ConfigError):
         sweep(cfg2, [], [1])
+    for dmax, n in (([0], [1]), ([1], [0]), ([1, -2], [1]), ([1], [True])):
+        with pytest.raises(ConfigError) as err:
+            sweep(cfg2, dmax, n)
+        assert err.value.field == "grid"
+
+
+def test_master_seed_accepts_every_u64():
+    assert parse_config(base_doc(), master_seed=2**64 - 1).seeds.master_seed == 2**64 - 1
 
 
 def test_paired_seeds_across_strategies_and_cells():
@@ -268,6 +277,7 @@ def test_cli_rejects_bad_strategy_parameters(tmp_path, capsys, strategy, key):
         (["--runs", "0"], "config.seeds.runs"),
         (["--runs", "-3"], "config.seeds.runs"),
         (["--seed", "-1"], "config.seeds.master_seed"),
+        (["--seed", "18446744073709551616"], "config.seeds.master_seed"),
     ],
 )
 def test_cli_seed_overrides_are_validated(tmp_path, capsys, flags, field):

@@ -65,9 +65,9 @@ def test_resampling_nfe_and_determinism(sched50, two_mode_mix, balanced_cond):
 
 
 def test_resampling_degenerates_to_ddim_when_ratios_are_one():
-    # All-zero betas make every inversion coefficient vanish, so the injected
-    # noise never enters and both strategies walk the same trajectory.
-    sched = NoiseSchedule(5, np.zeros(5), np.ones(6))
+    # Constant alpha-bars make every inversion coefficient vanish, so the
+    # injected noise never enters and both strategies walk the same trajectory.
+    sched = NoiseSchedule(5, np.ones(6))
     mix = GaussianMixture(np.array([1.0]), np.array([[0.5, 0.5]]), np.array([1.0]))
     cond = Condition.unconditional()
     x_T = LatentState(np.array([0.3, -0.8]), 5)

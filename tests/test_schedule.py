@@ -1,3 +1,5 @@
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ def mp_product_oracle(betas, dps=60):
 
 def test_single_step_schedule():
     s = build_linear_schedule(1, 0.5, 0.5)
-    assert s.betas.tolist() == [0.5]
     assert s.alpha_bars.tolist() == [1.0, 0.5]
 
 
@@ -32,7 +33,7 @@ def test_constant_beta_closed_form():
 
 def test_training_grid_matches_high_precision_product():
     s = build_linear_schedule(1000, 1e-4, 0.02)
-    oracle = mp_product_oracle(s.betas)
+    oracle = mp_product_oracle(np.linspace(1e-4, 0.02, 1000))
     assert abs(s.alpha_bars[1000] - oracle[-1]) <= 1e-12 * oracle[-1]
     assert np.max(np.abs(s.alpha_bars[1:] - oracle) / oracle) <= 1e-12
 
@@ -48,15 +49,14 @@ def test_linear_schedule_rejects_bad_arguments(args):
 
 def test_schedule_rejects_inconsistent_products():
     with pytest.raises(ValueError):
-        NoiseSchedule(2, np.array([0.1, 0.1]), np.array([1.0, 0.9, 0.5]))
+        NoiseSchedule(2, np.array([1.0, 0.5, 0.9]))
     with pytest.raises(ValueError):
-        NoiseSchedule(1, np.array([0.1]), np.array([0.5, 0.45]))
+        NoiseSchedule(1, np.array([0.5, 0.45]))
 
 
 def test_subsample_identity_is_bit_exact():
     parent = build_linear_schedule(50, 1e-4, 0.02)
     child = subsample(parent, 50)
-    assert np.array_equal(child.betas, parent.betas)
     assert np.array_equal(child.alpha_bars, parent.alpha_bars)
 
 
@@ -70,9 +70,8 @@ def test_subsample_selects_expected_indices():
 def test_subsample_recurrence_and_product_oracle():
     parent = build_linear_schedule(1000, 1e-4, 0.02)
     child = subsample(parent, 50)
-    recon = child.alpha_bars[:-1] * (1.0 - child.betas)
-    assert np.max(np.abs(recon - child.alpha_bars[1:]) / child.alpha_bars[1:]) <= 1e-15
-    oracle = mp_product_oracle(child.betas)
+    picked = np.round(np.linspace(20, 1000, 50)).astype(int)
+    oracle = np.array(mp_product_oracle(np.linspace(1e-4, 0.02, 1000)))[picked - 1]
     assert np.max(np.abs(child.alpha_bars[1:] - oracle) / oracle) <= 1e-13
 
 
@@ -84,35 +83,50 @@ def test_subsample_rejects_bad_step_counts():
         subsample(parent, 11)
 
 
+def test_shipped_schedule_alpha_bars_are_pinned():
+    # Every output digest depends on these bits (recorded with numpy 2.4.6).
+    child = subsample(build_linear_schedule(1000, 1e-4, 0.02), 50)
+    assert hashlib.sha256(child.alpha_bars.tobytes()).hexdigest()[:16] == "6eef210e7c86bedd"
+
+
 @st.composite
-def linear_schedules(draw):
+def linear_args(draw):
     T = draw(st.integers(min_value=1, max_value=120))
     beta_start = draw(st.floats(min_value=1e-6, max_value=0.02))
     beta_end = draw(st.floats(min_value=beta_start, max_value=0.05))
-    return build_linear_schedule(T, beta_start, beta_end)
+    return T, beta_start, beta_end
+
+
+def linear_schedules():
+    return linear_args().map(lambda args: build_linear_schedule(*args))
 
 
 @settings(max_examples=60, deadline=None)
-@given(linear_schedules())
-def test_reconstructing_products_from_betas(sched):
-    recon = np.concatenate(([1.0], np.cumprod(1.0 - sched.betas)))
+@given(linear_args())
+def test_reconstructing_products_from_betas(args):
+    T, beta_start, beta_end = args
+    sched = build_linear_schedule(T, beta_start, beta_end)
+    recon = np.concatenate(([1.0], np.cumprod(1.0 - np.linspace(beta_start, beta_end, T))))
     assert np.max(np.abs(recon - sched.alpha_bars) / sched.alpha_bars) <= 1e-15
 
 
 @settings(max_examples=60, deadline=None)
 @given(linear_schedules(), st.data())
 def test_subsampled_products_reconstruct_and_stay_monotone(sched, data):
-    # Keep strides modest so per-child-step retention stays in the regime
-    # where a float64 beta can represent the ratio to full precision.
-    lo = max(1, sched.num_steps // 20)
-    steps = data.draw(st.integers(min_value=lo, max_value=sched.num_steps))
+    steps = data.draw(st.integers(min_value=1, max_value=sched.num_steps))
     child = subsample(sched, steps)
-    recon = np.concatenate(([1.0], np.cumprod(1.0 - child.betas)))
-    assert np.max(np.abs(recon - child.alpha_bars) / child.alpha_bars) <= 1e-15
     assert np.all(np.diff(child.alpha_bars) < 0)
     again = subsample(child, child.num_steps)
-    assert np.array_equal(again.betas, child.betas)
     assert np.array_equal(again.alpha_bars, child.alpha_bars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_schedules(), st.data())
+def test_subsample_picks_parent_levels_bit_for_bit(sched, data):
+    P = sched.num_steps
+    steps = data.draw(st.integers(min_value=1, max_value=P))
+    picked = np.round(np.linspace(P / steps, P, steps)).astype(int)
+    assert subsample(sched, steps).alpha_bars[1:].tobytes() == sched.alpha_bars[picked].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
