@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,19 +68,14 @@ class LatentState:
 
 @dataclass(frozen=True, eq=False)
 class Prediction:
-    """One denoiser output: combined noise estimate plus the clean estimate.
-
-    ``eps_uncond`` keeps the unconditional branch available so CFG++ callers
-    can feed it to the re-noising term without a second forward pass.
+    """One denoiser output: the guided noise estimate, the clean estimate it
+    induces, and ``eps_noise``, the re-noising term of the DDIM update (the
+    guided estimate under CFG, the unconditional branch under CFG++).
     """
 
     eps: np.ndarray
     x0_hat: np.ndarray
-    eps_uncond: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.eps_uncond is None:
-            object.__setattr__(self, "eps_uncond", self.eps)
+    eps_noise: np.ndarray
 
 
 def _require_level(state: LatentState, sched: NoiseSchedule, minimum: int = 1) -> None:
@@ -105,26 +100,21 @@ def clean_estimate(x_t: LatentState, eps: np.ndarray, sched: NoiseSchedule) -> n
 
 
 def ddim_step(
-    x_t: LatentState,
-    eps_for_x0: np.ndarray,
-    eps_for_noise: np.ndarray,
-    sched: NoiseSchedule,
-) -> tuple[LatentState, np.ndarray]:
+    x_t: LatentState, x0_hat: np.ndarray, eps_noise: np.ndarray, sched: NoiseSchedule
+) -> LatentState:
     """Deterministic denoising update from level t to t-1.
 
-    The clean estimate uses ``eps_for_x0`` and the re-noising term uses
-    ``eps_for_noise``; plain CFG passes the same array twice, CFG++ passes
-    the guided and unconditional predictions respectively. Returns the new
-    state and the clean estimate it was built from.
+    Returns sqrt(ab_{t-1}) * x0_hat + sqrt(1 - ab_{t-1}) * eps_noise at level
+    t-1, where ``x0_hat`` is the clean estimate of ``x_t`` and ``eps_noise``
+    the re-noising term (see ``Prediction``).
     """
     _require_level(x_t, sched)
-    eps_for_noise = np.asarray(eps_for_noise, dtype=np.float64)
-    if eps_for_noise.shape != x_t.x.shape:
-        raise ValueError("eps dimension mismatch")
-    x0_hat = clean_estimate(x_t, eps_for_x0, sched)
+    x0_hat = np.asarray(x0_hat, dtype=np.float64)
+    eps_noise = np.asarray(eps_noise, dtype=np.float64)
+    if x0_hat.shape != x_t.x.shape or eps_noise.shape != x_t.x.shape:
+        raise ValueError("clean estimate or eps dimension mismatch")
     ab_prev = sched.alpha_bars[x_t.t - 1]
-    x_prev = math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * eps_for_noise
-    return LatentState(x_prev, x_t.t - 1), x0_hat
+    return LatentState(math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * eps_noise, x_t.t - 1)
 
 
 def stochastic_invert(
@@ -153,8 +143,8 @@ def deterministic_invert(
 ) -> LatentState:
     """Algebraic inverse of ``ddim_step`` under a shared noise prediction.
 
-    Takes a state at level t-1 up to level t; composing with ``ddim_step``
-    using the same ``eps`` recovers the input exactly (first-order inversion,
+    Takes a state at level t-1 up to level t; a ``ddim_step`` built from the
+    same ``eps`` recovers the input exactly (first-order inversion,
     with ``eps`` conventionally evaluated at the lower-level state).
     """
     t = x_prev.t + 1

@@ -14,7 +14,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .dynamics import GuidanceConfig, GuidanceMode, LatentState
-from .models import _WEIGHT_TOL, Condition, EvalContext, GaussianMixture
+from .models import _MAX_SCALE, _WEIGHT_TOL, Condition, EvalContext, GaussianMixture
 from .rewards import LogDensity, NegDistance, Plateau, RewardSpec, score
 from .samplers import (
     CtrlZParams,
@@ -31,7 +31,6 @@ from .schedule import NoiseSchedule, build_linear_schedule, subsample
 from .seeding import keyed_rng, mix_seed
 
 STRATEGY_NAMES = ("ddim", "resampling", "zsampling", "sop", "ctrlz")
-_MAX_SCALE = 1e150  # the denoiser forms 2 * pi * scale**2, which must stay a finite float
 
 _SECTIONS: dict[str, tuple[str, ...] | None] = {
     "schedule": ("family", "train_steps", "infer_steps", "beta_start", "beta_end"),
@@ -368,7 +367,7 @@ def _sampler(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> 
         return lambda ctx, x_T, cond, mix, sched, reward, seed: run_zsampling(ctx, x_T, cond, mix, guidance, sched, inv, seed)
     if name == "resampling":
         return lambda ctx, x_T, cond, mix, sched, reward, seed: run_resampling(ctx, x_T, cond, mix, guidance, sched, seed)
-    return lambda ctx, x_T, cond, mix, sched, reward, seed: run_ddim(ctx, x_T, cond, mix, guidance, sched, None, seed)
+    return lambda ctx, x_T, cond, mix, sched, reward, seed: run_ddim(ctx, x_T, cond, mix, guidance, sched, seed)
 
 
 def _aggregate(

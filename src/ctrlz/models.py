@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GuidanceConfig, LatentState, Prediction, clean_estimate, guided_epsilon
+from .dynamics import GuidanceConfig, GuidanceMode, LatentState, Prediction, clean_estimate, guided_epsilon
 from .schedule import NoiseSchedule
 
 _WEIGHT_TOL = 1e-12
+_MAX_SCALE = 1e150  # the denoiser forms 2 * pi * scale**2, which must stay a finite float
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +42,8 @@ class GaussianMixture:
             raise ValueError("scales must match weights in shape")
         if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
             raise ValueError("weights must be positive and sum to 1")
-        if np.any(s <= 0.0):
-            raise ValueError("scales must be > 0")
+        if np.any(s <= 0.0) or np.any(s > _MAX_SCALE):
+            raise ValueError(f"scales must lie in (0, {_MAX_SCALE:g}]")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(s))):
             raise ValueError("means and scales must be finite")
         for arr in (w, mu, s):
@@ -132,18 +133,6 @@ class EvalContext:
             self.reward_calls += 1
 
 
-def marginal_component_params(
-    mix: GaussianMixture, k: int, t: int, sched: NoiseSchedule
-) -> tuple[np.ndarray, float]:
-    """Mean and isotropic variance of component ``k`` diffused to level ``t``."""
-    if not 0 <= k < mix.n_components:
-        raise ValueError(f"component {k} out of range")
-    ab = sched.alpha_bar(t)
-    mean = math.sqrt(ab) * mix.means[k]
-    var = ab * float(mix.scales[k]) ** 2 + (1.0 - ab)
-    return mean, var
-
-
 def exact_epsilon(
     x_t: LatentState, cond: Condition, mix: GaussianMixture, sched: NoiseSchedule
 ) -> np.ndarray:
@@ -184,6 +173,7 @@ def predict(
 
     Both guidance branches are evaluated internally, matching a batched
     conditional/unconditional pipeline that still counts as a single pass.
+    CFG++ takes the unconditional branch as the re-noising term.
     """
     eps_cond = exact_epsilon(x_t, cond, mix, sched)
     if cond.kind is ConditionKind.UNCONDITIONAL:
@@ -196,4 +186,5 @@ def predict(
         x0_hat = x_t.x.copy()
     else:
         x0_hat = clean_estimate(x_t, eps, sched)
-    return Prediction(eps=eps, x0_hat=x0_hat, eps_uncond=eps_uncond)
+    eps_noise = eps_uncond if guidance.mode is GuidanceMode.CFG_PLUS_PLUS else eps
+    return Prediction(eps, x0_hat, eps_noise)

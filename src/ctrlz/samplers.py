@@ -42,9 +42,10 @@ class CtrlZParams:
     """Knobs of the adaptive zigzag search.
 
     ``window`` is the number of initial (high-noise) steps eligible for
-    exploration; ``threshold`` the minimum improvement over the last accepted
-    score; ``max_depth`` the deepest inversion tried before giving up;
-    ``n_candidates`` the number of re-noised continuations per depth.
+    exploration; ``threshold`` the margin by which a score must exceed the
+    last accepted score (a tie is a stall); ``max_depth`` the deepest
+    inversion tried before giving up; ``n_candidates`` the number of
+    re-noised continuations per depth.
     ``random_p`` only applies under the RANDOM initiation policy.
     ``exploration_guidance`` may switch candidate denoising back to plain CFG
     while default steps keep the configured mode.
@@ -125,13 +126,9 @@ def _advance(
     guidance: GuidanceConfig,
     sched: NoiseSchedule,
 ) -> tuple[LatentState, np.ndarray]:
-    """One guided denoising step; CFG++ re-noises with the unconditional branch."""
+    """One guided denoising step; returns the new state and its clean estimate."""
     pred = predict(ctx, state, cond, mix, guidance, sched)
-    if guidance.mode is GuidanceMode.CFG_PLUS_PLUS:
-        eps_noise = pred.eps_uncond
-    else:
-        eps_noise = pred.eps
-    return ddim_step(state, pred.eps, eps_noise, sched)
+    return ddim_step(state, pred.x0_hat, pred.eps_noise, sched), pred.x0_hat
 
 
 def _scored(ctx: EvalContext, reward: RewardSpec, cond: Condition, x0_hat: np.ndarray) -> float:
@@ -173,19 +170,11 @@ def run_ddim(
     mix: GaussianMixture,
     guidance: GuidanceConfig,
     sched: NoiseSchedule,
-    reward: RewardSpec | None = None,
     seed: int = 0,
 ) -> RunResult:
-    """Plain deterministic sampling; exactly one forward pass per step."""
-    _check_start(x_T, sched)
-    nfe0, rc0 = ctx.nfe_count, ctx.reward_calls
-    trace: list[float] = []
-    state = x_T
-    for _t in range(sched.num_steps, 0, -1):
-        state, x0_hat = _advance(ctx, state, cond, mix, guidance, sched)
-        if reward is not None:
-            trace.append(_scored(ctx, reward, cond, x0_hat))
-    return _finish(state, trace, [], ctx, nfe0, rc0, sched, seed)
+    """Plain deterministic sampling, one forward pass per step: the search
+    with an empty exploration window, which never reads a reward."""
+    return _search(ctx, x_T, cond, mix, sched, None, CtrlZParams(window=0, guidance=guidance), seed)
 
 
 def run_resampling(
@@ -277,12 +266,12 @@ def run_ctrlz(
 ) -> RunResult:
     """Reward-guided sampling with adaptive-depth zigzag exploration.
 
-    Within the exploration window, a step whose clean-estimate score fails to
-    improve on the last accepted score by ``threshold`` triggers a search:
-    re-noise the pre-step state by an escalating number of levels, denoise
-    each of ``n_candidates`` fresh continuations back down, and keep the best
-    scoring state seen (the default continuation is part of the pool). The
-    search stops as soon as the best score clears the acceptance bar, or at
+    Within the exploration window, a step whose clean-estimate score does not
+    beat the last accepted score by more than ``threshold`` (a tie is a stall)
+    triggers a search: re-noise the pre-step state by an escalating number of
+    levels, denoise each of ``n_candidates`` fresh continuations back down,
+    and keep the best scoring state seen (the default continuation is part of
+    the pool). The search stops as soon as the best score beats the bar, or at
     ``max_depth``, in which case the best candidate is retained anyway and
     the accepted score may decrease.
 
@@ -328,14 +317,14 @@ def _search(
     cond: Condition,
     mix: GaussianMixture,
     sched: NoiseSchedule,
-    reward: RewardSpec,
+    reward: RewardSpec | None,
     params: CtrlZParams,
     seed: int,
 ) -> RunResult:
-    """The one adaptive search loop behind ``run_ctrlz`` and ``run_sop``."""
+    """The one search loop behind ``run_ddim``, ``run_ctrlz`` and ``run_sop``."""
     _check_start(x_T, sched)
-    if reward is None:
-        raise ValueError("the search requires a reward")
+    if reward is None and params.window > 0:
+        raise ValueError("a search with a nonempty window requires a reward")
     T = sched.num_steps
     if params.window > T:
         raise ValueError(f"window {params.window} exceeds total steps {T}")
@@ -352,7 +341,7 @@ def _search(
         next_state, x0_hat = _advance(ctx, state, cond, mix, params.guidance, sched)
         if t > T - params.window and _policy_fires(params, seed, t):
             r = _scored(ctx, reward, cond, x0_hat)
-            if params.initiation is InitiationPolicy.REWARD_BASED and r >= r_prev + params.threshold:
+            if params.initiation is InitiationPolicy.REWARD_BASED and r > r_prev + params.threshold:
                 r_prev = r
                 trace.append(r)
             else:
@@ -366,7 +355,7 @@ def _search(
                         )
                         if cand_score > best_score:
                             best_score, best_state = cand_score, cand_state
-                    if best_score >= r_prev + params.threshold:
+                    if best_score > r_prev + params.threshold:
                         terminated = TerminatedBy.THRESHOLD_MET
                         break
                 events.append(

