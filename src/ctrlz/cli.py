@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from .dynamics import NonFiniteError
@@ -52,6 +53,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.seed, args.runs)
+        try:  # before any run, so a bad path costs no sampling work
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out", f"cannot create output directory: {exc}") from None
 
         if args.command == "run":
             outcomes = {cfg.strategy.name: run_experiment(cfg)}

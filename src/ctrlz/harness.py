@@ -14,7 +14,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .dynamics import GuidanceConfig, GuidanceMode, LatentState
-from .models import _MAX_SCALE, _WEIGHT_TOL, Condition, EvalContext, GaussianMixture
+from .models import _MAX_SCALE, _WEIGHT_TOL, Condition, GaussianMixture
 from .rewards import LogDensity, NegDistance, Plateau, RewardSpec, score
 from .samplers import (
     CtrlZParams,
@@ -298,11 +298,12 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
 
 
 def load_config(path: str | Path, master_seed: int | None = None, runs: int | None = None) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers invalid JSON and bytes that are not UTF-8; RecursionError, nesting too deep to parse.
+        raise ConfigError("config", f"cannot read {str(path)!r}: {exc}") from None
     return parse_config(doc, master_seed, runs)
 
 
@@ -333,7 +334,7 @@ def _sampler(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> 
     """Check a strategy's name and its parameters for ``steps`` sampling steps.
 
     Returns its sampler with the parameters bound, called as
-    ``run(ctx, x_T, cond, mix, sched, reward, seed)``. Each call looks up the
+    ``run(x_T, cond, mix, sched, reward, seed)``. Each call looks up the
     ``run_*`` function anew, so rebinding it on this module (as a tracer does)
     takes effect.
     """
@@ -351,23 +352,23 @@ def _sampler(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> 
             raise ConfigError(path, str(exc)) from None
         if ctrlz.window > steps:
             raise ConfigError(f"{path}.window", f"{ctrlz.window} exceeds the {steps} sampling steps")
-        return lambda ctx, x_T, cond, mix, sched, reward, seed: run_ctrlz(ctx, x_T, cond, mix, sched, reward, ctrlz, seed)
+        return lambda x_T, cond, mix, sched, reward, seed: run_ctrlz(x_T, cond, mix, sched, reward, ctrlz, seed)
     known = {"sop": "n_candidates", "zsampling": "inversion_omega"}.get(name)
     for key in params:
         if key != known:
             raise ConfigError(f"{path}.{key}", f"not a parameter of strategy {name!r}")
     if name == "sop":
         n = _positive_int(params.get("n_candidates", 4), f"{path}.n_candidates")
-        return lambda ctx, x_T, cond, mix, sched, reward, seed: run_sop(ctx, x_T, cond, mix, guidance, sched, reward, n, seed)
+        return lambda x_T, cond, mix, sched, reward, seed: run_sop(x_T, cond, mix, guidance, sched, reward, n, seed)
     if name == "zsampling":
         omega = _number(params.get("inversion_omega", 0.0), f"{path}.inversion_omega")
         if omega < 0:
             raise ConfigError(f"{path}.inversion_omega", "must be >= 0")
         inv = GuidanceConfig(omega, GuidanceMode.CFG)
-        return lambda ctx, x_T, cond, mix, sched, reward, seed: run_zsampling(ctx, x_T, cond, mix, guidance, sched, inv, seed)
+        return lambda x_T, cond, mix, sched, reward, seed: run_zsampling(x_T, cond, mix, guidance, sched, inv, seed)
     if name == "resampling":
-        return lambda ctx, x_T, cond, mix, sched, reward, seed: run_resampling(ctx, x_T, cond, mix, guidance, sched, seed)
-    return lambda ctx, x_T, cond, mix, sched, reward, seed: run_ddim(ctx, x_T, cond, mix, guidance, sched, seed)
+        return lambda x_T, cond, mix, sched, reward, seed: run_resampling(x_T, cond, mix, guidance, sched, seed)
+    return lambda x_T, cond, mix, sched, reward, seed: run_ddim(x_T, cond, mix, guidance, sched, seed)
 
 
 def _aggregate(
@@ -427,7 +428,7 @@ def run_experiment(
     for run_index in range(cfg.seeds.runs):
         run_seed = mix_seed(cfg.seeds.master_seed, run_index)
         x_T = LatentState(keyed_rng(run_seed, 0).standard_normal(mix.dim), sched.num_steps)
-        results.append(run(EvalContext(), x_T, cond, mix, sched, reward, run_seed))
+        results.append(run(x_T, cond, mix, sched, reward, run_seed))
     return _aggregate(label or strat.name, results, cfg, cond, reward)
 
 
@@ -435,10 +436,13 @@ def compare(cfg: ExperimentConfig, strategies: Sequence[str]) -> dict[str, Strat
     """Run several strategies over identical per-run seeds."""
     if not strategies:
         raise ConfigError("strategies", "need at least one strategy")
-    outcomes: dict[str, StrategyOutcome] = {}
     for name in strategies:
         if name not in STRATEGY_NAMES:
             raise ConfigError("strategies", f"unknown strategy {name!r}")
+    if len(set(strategies)) != len(strategies):
+        raise ConfigError("strategies", f"a strategy is named twice in {list(strategies)}")
+    outcomes: dict[str, StrategyOutcome] = {}
+    for name in strategies:
         params = cfg.strategy.params if cfg.strategy.name == name else {}
         outcomes[name] = run_experiment(cfg, StrategyConfig(name, params), label=name)
     return outcomes
@@ -454,6 +458,9 @@ def sweep(
         raise ConfigError("grid", "sweep grid must be nonempty")
     for value in (*max_depths, *candidate_counts):
         _positive_int(value, "grid")
+    for values in (max_depths, candidate_counts):
+        if len(set(values)) != len(values):
+            raise ConfigError("grid", f"repeated value in {list(values)}")
     if cfg.strategy.name != "ctrlz":
         raise ConfigError("config.strategy.name", "sweep requires the ctrlz strategy")
     outcomes: dict[str, StrategyOutcome] = {}

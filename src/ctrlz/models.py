@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,26 +110,15 @@ class Condition:
 UNCONDITIONAL = Condition.unconditional()
 
 
+@dataclass
 class EvalContext:
-    """Monotone counters for denoiser forward passes and reward evaluations.
+    """One run's counts of denoiser forward passes and reward evaluations.
 
-    Increments are lock-protected. Samplers report a run's counts relative to
-    the counters at its start, so runs may share a context in sequence, but
-    not concurrently.
+    Each sampler run creates its own and reads it back into its result.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.nfe_count = 0
-        self.reward_calls = 0
-
-    def add_nfe(self) -> None:
-        with self._lock:
-            self.nfe_count += 1
-
-    def add_reward_call(self) -> None:
-        with self._lock:
-            self.reward_calls += 1
+    nfe_count: int = 0
+    reward_calls: int = 0
 
 
 def exact_epsilon(
@@ -181,7 +169,7 @@ def predict(
     else:
         eps_uncond = exact_epsilon(x_t, UNCONDITIONAL, mix, sched)
     eps = guided_epsilon(eps_cond, eps_uncond, guidance.omega)
-    ctx.add_nfe()
+    ctx.nfe_count += 1
     if x_t.t == 0:
         x0_hat = x_t.x.copy()
     else:

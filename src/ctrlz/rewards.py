@@ -28,13 +28,10 @@ class NegDistance:
 
 @dataclass(frozen=True, eq=False)
 class LogDensity:
-    """Log density of the clean sample under a (condition-reweighted) mixture.
-
-    When ``cond`` is set it overrides the condition passed at scoring time.
-    """
+    """Log density of the clean sample under the mixture, reweighted by the
+    condition passed at scoring time."""
 
     mix: GaussianMixture
-    cond: Condition | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +79,7 @@ def _raw_score(spec: RewardSpec, cond: Condition, x: np.ndarray) -> float:
     if isinstance(spec, NegDistance):
         return -float(np.linalg.norm(x - spec.target))
     if isinstance(spec, LogDensity):
-        return _mixture_log_density(spec.mix, spec.cond if spec.cond is not None else cond, x)
+        return _mixture_log_density(spec.mix, cond, x)
     if isinstance(spec, Plateau):
         dist = float(np.linalg.norm(x - spec.target))
         if dist < spec.inner_radius:

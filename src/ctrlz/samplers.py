@@ -132,7 +132,7 @@ def _advance(
 
 
 def _scored(ctx: EvalContext, reward: RewardSpec, cond: Condition, x0_hat: np.ndarray) -> float:
-    ctx.add_reward_call()
+    ctx.reward_calls += 1
     return score(reward, cond, x0_hat)
 
 
@@ -146,25 +146,21 @@ def _finish(
     trace: list[float],
     events: list[ExplorationEvent],
     ctx: EvalContext,
-    nfe_start: int,
-    reward_start: int,
     sched: NoiseSchedule,
     seed: int,
 ) -> RunResult:
-    nfe_total = ctx.nfe_count - nfe_start
     return RunResult(
         x0=x0.x,
         reward_trace=trace,
         events=events,
-        nfe_total=nfe_total,
-        nfe_avg=nfe_total / sched.num_steps,
-        reward_calls=ctx.reward_calls - reward_start,
+        nfe_total=ctx.nfe_count,
+        nfe_avg=ctx.nfe_count / sched.num_steps,
+        reward_calls=ctx.reward_calls,
         seed=seed,
     )
 
 
 def run_ddim(
-    ctx: EvalContext,
     x_T: LatentState,
     cond: Condition,
     mix: GaussianMixture,
@@ -174,11 +170,10 @@ def run_ddim(
 ) -> RunResult:
     """Plain deterministic sampling, one forward pass per step: the search
     with an empty exploration window, which never reads a reward."""
-    return _search(ctx, x_T, cond, mix, sched, None, CtrlZParams(window=0, guidance=guidance), seed)
+    return _search(x_T, cond, mix, sched, None, CtrlZParams(window=0, guidance=guidance), seed)
 
 
 def run_resampling(
-    ctx: EvalContext,
     x_T: LatentState,
     cond: Condition,
     mix: GaussianMixture,
@@ -191,24 +186,23 @@ def run_resampling(
     The re-denoised state is always taken; two forward passes per step.
     """
     _check_start(x_T, sched)
-    nfe0, rc0 = ctx.nfe_count, ctx.reward_calls
+    ctx = EvalContext()
     state = x_T
     for t in range(sched.num_steps, 0, -1):
         state, _ = _advance(ctx, state, cond, mix, guidance, sched)
         noise = keyed_rng(seed, t, 0, 0).standard_normal(state.dim)
         renoised = stochastic_invert(state, 1, noise, sched)
         state, _ = _advance(ctx, renoised, cond, mix, guidance, sched)
-    return _finish(state, [], [], ctx, nfe0, rc0, sched, seed)
+    return _finish(state, [], [], ctx, sched, seed)
 
 
 def run_zsampling(
-    ctx: EvalContext,
     x_T: LatentState,
     cond: Condition,
     mix: GaussianMixture,
     guidance: GuidanceConfig,
     sched: NoiseSchedule,
-    inversion_guidance: GuidanceConfig | None = None,
+    inversion_guidance: GuidanceConfig = GuidanceConfig(0.0, GuidanceMode.CFG),
     seed: int = 0,
 ) -> RunResult:
     """Per step: denoise, deterministically re-invert along a weakly guided
@@ -217,15 +211,14 @@ def run_zsampling(
     The inversion prediction defaults to unconditional (scale 0).
     """
     _check_start(x_T, sched)
-    inv = inversion_guidance if inversion_guidance is not None else GuidanceConfig(0.0, GuidanceMode.CFG)
-    nfe0, rc0 = ctx.nfe_count, ctx.reward_calls
+    ctx = EvalContext()
     state = x_T
     for _t in range(sched.num_steps, 0, -1):
         lowered, _ = _advance(ctx, state, cond, mix, guidance, sched)
-        pred_inv = predict(ctx, lowered, cond, mix, inv, sched)
+        pred_inv = predict(ctx, lowered, cond, mix, inversion_guidance, sched)
         raised = deterministic_invert(lowered, pred_inv.eps, sched)
         state, _ = _advance(ctx, raised, cond, mix, guidance, sched)
-    return _finish(state, [], [], ctx, nfe0, rc0, sched, seed)
+    return _finish(state, [], [], ctx, sched, seed)
 
 
 def _evaluate_candidate(
@@ -255,7 +248,6 @@ def _policy_fires(params: CtrlZParams, seed: int, t: int) -> bool:
 
 
 def run_ctrlz(
-    ctx: EvalContext,
     x_T: LatentState,
     cond: Condition,
     mix: GaussianMixture,
@@ -279,11 +271,10 @@ def run_ctrlz(
     step; RANDOM does so with probability ``random_p`` and otherwise accepts
     the step without a reward call, like a plain step.
     """
-    return _search(ctx, x_T, cond, mix, sched, reward, params, seed)
+    return _search(x_T, cond, mix, sched, reward, params, seed)
 
 
 def run_sop(
-    ctx: EvalContext,
     x_T: LatentState,
     cond: Condition,
     mix: GaussianMixture,
@@ -308,11 +299,10 @@ def run_sop(
         initiation=InitiationPolicy.ALWAYS,
         guidance=guidance,
     )
-    return replace(_search(ctx, x_T, cond, mix, sched, reward, params, seed), events=[])
+    return replace(_search(x_T, cond, mix, sched, reward, params, seed), events=[])
 
 
 def _search(
-    ctx: EvalContext,
     x_T: LatentState,
     cond: Condition,
     mix: GaussianMixture,
@@ -332,7 +322,7 @@ def _search(
     if params.exploration_guidance is ExplorationGuidance.CFG_IN_EXPLORATION:
         explore_guidance = GuidanceConfig(params.guidance.omega, GuidanceMode.CFG)
 
-    nfe0, rc0 = ctx.nfe_count, ctx.reward_calls
+    ctx = EvalContext()
     trace: list[float] = []
     events: list[ExplorationEvent] = []
     r_prev = -math.inf
@@ -374,4 +364,4 @@ def _search(
                 r_prev = best_score
                 trace.append(best_score)
         state = next_state
-    return _finish(state, trace, events, ctx, nfe0, rc0, sched, seed)
+    return _finish(state, trace, events, ctx, sched, seed)

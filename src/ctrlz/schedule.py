@@ -37,12 +37,6 @@ class NoiseSchedule:
         abars.setflags(write=False)
         object.__setattr__(self, "alpha_bars", abars)
 
-    def alpha_bar(self, t: int) -> float:
-        """Cumulative product at level ``t`` (0 through ``num_steps``)."""
-        if not 0 <= t <= self.num_steps:
-            raise ValueError(f"level {t} outside [0, {self.num_steps}]")
-        return float(self.alpha_bars[t])
-
 
 def build_linear_schedule(num_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Schedule with betas linearly interpolated from start to end, inclusive."""

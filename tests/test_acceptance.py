@@ -15,7 +15,6 @@ import pytest
 from ctrlz import (
     Condition,
     CtrlZParams,
-    EvalContext,
     GaussianMixture,
     GuidanceConfig,
     GuidanceMode,
@@ -149,11 +148,11 @@ def ddim_escape_oracle(sched50):
 def test_a1_nfe_accounting(sampler_setup):
     t0 = time.time()
     sched, mix, cond, x_T, reward = sampler_setup
-    ddim = run_ddim(EvalContext(), x_T, cond, mix, CFG, sched)
-    resampling = run_resampling(EvalContext(), x_T, cond, mix, CFG, sched, seed=1)
-    zsampling = run_zsampling(EvalContext(), x_T, cond, mix, CFG, sched, seed=1)
-    sop1 = run_sop(EvalContext(), x_T, cond, mix, CFG, sched, reward, 1, seed=1)
-    sop4 = run_sop(EvalContext(), x_T, cond, mix, CFG, sched, reward, 4, seed=1)
+    ddim = run_ddim(x_T, cond, mix, CFG, sched)
+    resampling = run_resampling(x_T, cond, mix, CFG, sched, seed=1)
+    zsampling = run_zsampling(x_T, cond, mix, CFG, sched, seed=1)
+    sop1 = run_sop(x_T, cond, mix, CFG, sched, reward, 1, seed=1)
+    sop4 = run_sop(x_T, cond, mix, CFG, sched, reward, 4, seed=1)
     ok = (
         ddim.nfe_avg == 1.0
         and resampling.nfe_avg == 2.0
@@ -171,7 +170,7 @@ def test_a2_ctrlz_deterministic_nfe_identity(sampler_setup):
         window=50, threshold=0.0, max_depth=1, n_candidates=1,
         initiation=InitiationPolicy.ALWAYS, guidance=CFG,
     )
-    res = run_ctrlz(EvalContext(), x_T, cond, mix, sched, reward, params, seed=MASTER_SEED)
+    res = run_ctrlz(x_T, cond, mix, sched, reward, params, seed=MASTER_SEED)
     ok = res.nfe_total == 149 and res.nfe_avg == pytest.approx(2.98)
     report("A2", "always-on shallow search costs exactly 149 passes", ok, time.time() - t0, 1.0)
 
@@ -327,18 +326,17 @@ def test_a8_algorithm_invariant_suite(sampler_setup):
     for seed in range(12):
         x_T = starts[seed] = LatentState(keyed_rng(seed, 0).standard_normal(2), 50)
         params = CtrlZParams(window=0, guidance=CFG)
-        res_zero = run_ctrlz(EvalContext(), x_T, cond, mix, sched, reward, params, seed=seed)
-        ref = run_ddim(EvalContext(), x_T, cond, mix, CFG, sched, seed=seed)
+        res_zero = run_ctrlz(x_T, cond, mix, sched, reward, params, seed=seed)
+        ref = run_ddim(x_T, cond, mix, CFG, sched, seed=seed)
         ok = ok and res_zero == ref
 
-        res = alone[seed] = run_ctrlz(EvalContext(), x_T, cond, mix, sched, reward, full, seed=seed)
+        res = alone[seed] = run_ctrlz(x_T, cond, mix, sched, reward, full, seed=seed)
         ok = ok and all(ev.t != 50 for ev in res.events)
         ok = ok and all(ev.accepted_score >= ev.default_score for ev in res.events)
         events_seen += len(res.events)
 
-    shared = EvalContext()
     for seed in reversed(range(12)):
-        ok = ok and run_ctrlz(shared, starts[seed], cond, mix, sched, reward, full, seed=seed) == alone[seed]
+        ok = ok and run_ctrlz(starts[seed], cond, mix, sched, reward, full, seed=seed) == alone[seed]
     ok = ok and events_seen > 0
     report("A8", "window, dominance, first-step and run-order invariants hold", ok, time.time() - t0, 30.0)
 

@@ -129,7 +129,7 @@ def test_sweep_requires_ctrlz_and_nonempty_grid():
     cfg2 = parse_config(base_doc())
     with pytest.raises(ConfigError):
         sweep(cfg2, [], [1])
-    for dmax, n in (([0], [1]), ([1], [0]), ([1, -2], [1]), ([1], [True])):
+    for dmax, n in (([0], [1]), ([1], [0]), ([1, -2], [1]), ([1], [True]), ([1, 1], [2]), ([1], [2, 2])):
         with pytest.raises(ConfigError) as err:
             sweep(cfg2, dmax, n)
         assert err.value.field == "grid"
@@ -163,6 +163,9 @@ def test_compare_reproduces_reference_nfe_column():
         compare(cfg, [])
     with pytest.raises(ConfigError):
         compare(cfg, ["mcts"])
+    with pytest.raises(ConfigError) as err:
+        compare(cfg, ["ddim", "ddim", "sop"])
+    assert err.value.field == "strategies"
     with pytest.raises(ConfigError) as err:
         run_experiment(cfg, StrategyConfig("mcts", {}))
     assert err.value.field == "config.strategy.name"
@@ -244,6 +247,25 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config.mixture.weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config,out,field",
+    [
+        pytest.param("missing.json", "out", "config", id="missing-config"),
+        pytest.param(".", "out", "config", id="config-is-directory"),
+        pytest.param("latin1.json", "out", "config", id="config-not-utf8"),
+        pytest.param("deep.json", "out", "config", id="config-too-deep"),
+        pytest.param("config.json", "config.json", "out", id="out-is-file"),
+        pytest.param("config.json", "config.json/out", "out", id="out-under-file"),
+    ],
+)
+def test_cli_unreadable_config_or_out_exits_2(tmp_path, capsys, config, out, field):
+    write_config(tmp_path, base_doc())
+    (tmp_path / "latin1.json").write_bytes(b'{"seeds": {"runs": "\xe9"}}')
+    (tmp_path / "deep.json").write_text("[" * 100000)
+    assert cli_main(["run", str(tmp_path / config), "--out", str(tmp_path / out)]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

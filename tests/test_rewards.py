@@ -66,14 +66,12 @@ def test_log_density_condition_handling():
         np.array([0.9, 0.1]), np.array([[0.0], [4.0]]), np.array([1.0, 1.0])
     )
     point = np.array([4.0])
-    pinned = LogDensity(mix, cond=Condition.for_component(1))
     free = LogDensity(mix)
-    # The embedded condition wins; otherwise the caller's condition applies.
-    assert score(pinned, UNCOND, point) == pytest.approx(-0.5 * math.log(2 * math.pi))
+    # The caller's condition reweights the mixture.
     assert score(free, Condition.for_component(1), point) == pytest.approx(
         -0.5 * math.log(2 * math.pi)
     )
-    assert score(free, UNCOND, point) < score(pinned, UNCOND, point)
+    assert score(free, UNCOND, point) < score(free, Condition.for_component(1), point)
 
 
 def test_plateau_annulus_is_exactly_flat():
