@@ -110,16 +110,10 @@ class MixtureConfig:
 
 @dataclass(frozen=True)
 class ConditionConfig:
-    kind: str
-    component: int
-    weights: tuple[float, ...]
+    weights: tuple[float, ...]  # empty for unconditional
 
     def build(self) -> Condition:
-        if self.kind == "unconditional":
-            return Condition.unconditional()
-        if self.kind == "component":
-            return Condition.for_component(self.component)
-        return Condition.reweight(np.array(self.weights))
+        return Condition(np.array(self.weights) if self.weights else None)
 
 
 @dataclass(frozen=True)
@@ -205,7 +199,7 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     try:
         schedule.build()
     except ValueError as exc:
-        raise ConfigError("config.schedule.beta_start", str(exc)) from None
+        raise ConfigError(f"config.schedule.{'beta_end' if beta_end >= 1 else 'beta_start'}", str(exc)) from None
 
     mx = _section(doc, "mixture")
     weights = _vector(_get(mx, "weights", "config.mixture"), "config.mixture.weights")
@@ -229,24 +223,29 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     ckind = cn.get("kind", "unconditional")
     if ckind not in ("unconditional", "component", "reweight"):
         raise ConfigError("config.condition.kind", f"unknown kind {ckind!r}")
-    comp = 0
+    for name in cn:
+        if name not in ("kind", {"component": "component", "reweight": "weights"}.get(ckind)):
+            raise ConfigError(f"config.condition.{name}", f"not read by kind {ckind!r}")
     cweights: tuple[float, ...] = ()
     if ckind == "component":
         comp = _get(cn, "component", "config.condition")
         if not isinstance(comp, int) or isinstance(comp, bool) or not 0 <= comp < len(weights):
             raise ConfigError("config.condition.component", f"index {comp!r} out of range")
+        cweights = tuple(float(k == comp) for k in range(len(weights)))
     if ckind == "reweight":
         cweights = _vector(_get(cn, "weights", "config.condition"), "config.condition.weights")
         if len(cweights) != len(weights):
             raise ConfigError("config.condition.weights", "length must match mixture components")
         if any(w < 0 for w in cweights) or abs(float(np.sum(cweights)) - 1.0) > _WEIGHT_TOL:
             raise ConfigError("config.condition.weights", "must be nonnegative and sum to 1")
-    condition = ConditionConfig(ckind, comp, cweights)
+    condition = ConditionConfig(cweights)
 
     rw = _section(doc, "reward")
     rkind = _get(rw, "kind", "config.reward")
     if rkind not in ("neg_distance", "log_density", "plateau"):
         raise ConfigError("config.reward.kind", f"unknown kind {rkind!r}")
+    if rkind == "log_density" and "target" in rw:
+        raise ConfigError("config.reward.target", "not read by kind 'log_density'")
     rtarget: tuple[float, ...] = ()
     if rkind in ("neg_distance", "plateau"):
         rtarget = _vector(_get(rw, "target", "config.reward"), "config.reward.target")

@@ -8,7 +8,6 @@ while keeping every downstream quantity checkable in closed form.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -60,54 +59,30 @@ class GaussianMixture:
         return self.means.shape[1]
 
 
-class ConditionKind(enum.Enum):
-    UNCONDITIONAL = "unconditional"
-    COMPONENT = "component"
-    REWEIGHT = "reweight"
-
-
 @dataclass(frozen=True, eq=False)
 class Condition:
-    """Conditioning realized as a reweighting of mixture components."""
+    """Conditioning realized as a reweighting of mixture components: ``weights``
+    of None keeps the mixture's own (unconditional), a one-hot picks one."""
 
-    kind: ConditionKind
-    component: int | None = None
     weights: np.ndarray | None = None
 
-    @classmethod
-    def unconditional(cls) -> "Condition":
-        return cls(ConditionKind.UNCONDITIONAL)
-
-    @classmethod
-    def for_component(cls, k: int) -> "Condition":
-        if k < 0:
-            raise ValueError("component index must be >= 0")
-        return cls(ConditionKind.COMPONENT, component=k)
-
-    @classmethod
-    def reweight(cls, weights) -> "Condition":
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 1 or np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
-            raise ValueError("reweight weights must be nonnegative and sum to 1")
-        w = w.copy()
-        w.setflags(write=False)
-        return cls(ConditionKind.REWEIGHT, weights=w)
+    def __post_init__(self):
+        if self.weights is not None:
+            w = np.asarray(self.weights, dtype=np.float64).copy()
+            if w.ndim != 1 or not np.all(w >= 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
+                raise ValueError("condition weights must be a nonnegative vector that sums to 1")
+            w.setflags(write=False)
+            object.__setattr__(self, "weights", w)
 
     def effective_weights(self, mix: GaussianMixture) -> np.ndarray:
-        if self.kind is ConditionKind.UNCONDITIONAL:
+        if self.weights is None:
             return mix.weights
-        if self.kind is ConditionKind.COMPONENT:
-            if not 0 <= self.component < mix.n_components:
-                raise ValueError(f"component {self.component} out of range")
-            w = np.zeros(mix.n_components)
-            w[self.component] = 1.0
-            return w
         if self.weights.size != mix.n_components:
-            raise ValueError("reweight vector length does not match mixture")
+            raise ValueError("condition weights length does not match mixture")
         return self.weights
 
 
-UNCONDITIONAL = Condition.unconditional()
+UNCONDITIONAL = Condition()
 
 
 @dataclass
@@ -164,10 +139,7 @@ def predict(
     CFG++ takes the unconditional branch as the re-noising term.
     """
     eps_cond = exact_epsilon(x_t, cond, mix, sched)
-    if cond.kind is ConditionKind.UNCONDITIONAL:
-        eps_uncond = eps_cond
-    else:
-        eps_uncond = exact_epsilon(x_t, UNCONDITIONAL, mix, sched)
+    eps_uncond = eps_cond if cond.weights is None else exact_epsilon(x_t, UNCONDITIONAL, mix, sched)
     eps = guided_epsilon(eps_cond, eps_uncond, guidance.omega)
     ctx.nfe_count += 1
     if x_t.t == 0:

@@ -20,4 +20,4 @@ def two_mode_mix():
 
 @pytest.fixture(scope="session")
 def balanced_cond():
-    return Condition.reweight([0.5, 0.5])
+    return Condition(np.array([0.5, 0.5]))

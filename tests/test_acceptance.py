@@ -187,7 +187,7 @@ def test_a3_posterior_mean_oracle(sched50):
         t = int(rng.integers(1, 51))
         ab = sched50.alpha_bars[t]
         x = LatentState(rng.uniform(-6, 6, size=d), t)
-        got = clean_estimate(x, exact_epsilon(x, Condition.unconditional(), mix, sched50), sched50)
+        got = clean_estimate(x, exact_epsilon(x, Condition(), mix, sched50), sched50)
         v = ab * s**2 + (1 - ab)
         expected = mu + (math.sqrt(ab) * s**2 / v) * (x.x - math.sqrt(ab) * mu)
         worst_single = max(
@@ -206,7 +206,7 @@ def test_a3_posterior_mean_oracle(sched50):
         t = int(rng.integers(1, 51))
         ab = sched50.alpha_bars[t]
         x = LatentState(rng.uniform(-6, 6, size=d), t)
-        got = clean_estimate(x, exact_epsilon(x, Condition.unconditional(), mix, sched50), sched50)
+        got = clean_estimate(x, exact_epsilon(x, Condition(), mix, sched50), sched50)
         dens = np.empty(k)
         post = np.empty((k, d))
         for i in range(k):

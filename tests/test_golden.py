@@ -29,6 +29,13 @@ GOLDEN_CFG_PLUS_PLUS = {
     "cfg_in_exploration": ("445f098f6c6e1571", "43b30a7fe613677e", "9cbf56f369eb0a39", "1959fbb521340321"),
 }
 
+# two_mode_escape under the log_density reward, the one reward that reads the condition, keyed by condition kind.
+CONDITIONS = {"component": {"kind": "component", "component": 1}, "unconditional": {"kind": "unconditional"}}
+GOLDEN_CONDITION = {
+    "component": ("796abe26f0a3df45", "1b44af4f9d9a2dee", "900e1498f51b87ac", "044e6cd92dd9dbf5"),
+    "unconditional": ("da4676bb3674b097", "5b0843f26d05f547", "a7c51d89cb113e7b", "4822e0f9f5fe9dd2"),
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_compare_outputs_match_golden_digests(name, tmp_path):
@@ -47,3 +54,13 @@ def test_cfg_plus_plus_compare_matches_golden_digests(exploration, tmp_path):
     write_outputs(tmp_path, compare(parse_config(doc, runs=8), STRATEGY_NAMES))
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
     assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_CFG_PLUS_PLUS[exploration]))
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_CONDITION))
+def test_condition_compare_matches_golden_digests(kind, tmp_path):
+    doc = json.loads((CONFIGS / "two_mode_escape.json").read_text())
+    doc["condition"] = CONDITIONS[kind]
+    doc["reward"] = {"kind": "log_density"}
+    write_outputs(tmp_path, compare(parse_config(doc, runs=8), STRATEGY_NAMES))
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
+    assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_CONDITION[kind]))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ctrlz
 from ctrlz.cli import main as cli_main
 from ctrlz.harness import (
     STRATEGY_NAMES,
@@ -85,6 +87,20 @@ def base_doc(**overrides):
             lambda d: d["schedule"].update(train_steps=1000, infer_steps=50, beta_start=0.5, beta_end=0.99),
             "config.schedule.beta_start",
             id="alpha-bar-underflow",
+        ),
+        pytest.param(lambda d: d["schedule"].update(beta_end=1.0), "config.schedule.beta_end", id="beta-end-at-one"),
+        pytest.param(
+            lambda d: d.update(condition={"kind": "unconditional", "weights": "junk"}),
+            "config.condition.weights",
+            id="unconditional-weights",
+        ),
+        pytest.param(
+            lambda d: d["condition"].update(component="x"), "config.condition.component", id="reweight-component"
+        ),
+        pytest.param(
+            lambda d: d.update(reward={"kind": "log_density", "target": "junk"}),
+            "config.reward.target",
+            id="log-density-target",
         ),
         pytest.param(lambda d: d["seeds"].update(master_seed=2**64), "config.seeds.master_seed", id="seed-beyond-u64"),
     ],
@@ -319,10 +335,14 @@ def test_cli_numeric_error_exit_code(tmp_path, capsys):
 
 def test_cli_module_entry_point(tmp_path):
     path = write_config(tmp_path, base_doc())
+    # The child imports the same ctrlz as this process, which pytest's pythonpath may have put on sys.path.
+    src = str(Path(ctrlz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "ctrlz", "run", str(path), "--runs", "1", "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "summary.json").exists()
@@ -397,6 +417,8 @@ def fuzz_edits(draw):
 @example("run", "neg_distance", ("escape", "target", [1e308, 1e308]))
 # An integer that no float can hold.
 @example("run", "neg_distance", ("guidance", "omega", 10**400))
+# A kind that cannot be a dict key.
+@example("run", "log_density", ("condition", "kind", []))
 def test_cli_exits_0_2_or_3_after_any_one_edit(command, reward, edit):
     """No edit of one field makes the CLI raise; pytest turns any warning into an error too."""
     doc = fuzz_doc(reward)

@@ -20,7 +20,7 @@ from ctrlz import (
 )
 
 SCHED = build_linear_schedule(30, 0.005, 0.1)
-UNCOND = Condition.unconditional()
+UNCOND = Condition()
 
 
 def posterior_mean_oracle(mix, weights, x, ab):
@@ -186,14 +186,17 @@ def test_condition_reweightings():
         np.array([0.7, 0.3]), np.array([[0.0], [1.0]]), np.array([1.0, 1.0])
     )
     assert np.array_equal(UNCOND.effective_weights(mix), mix.weights)
-    assert np.array_equal(Condition.for_component(1).effective_weights(mix), [0.0, 1.0])
-    assert np.array_equal(Condition.reweight([0.5, 0.5]).effective_weights(mix), [0.5, 0.5])
+    assert np.array_equal(Condition(np.array([0.0, 1.0])).effective_weights(mix), [0.0, 1.0])
+    source = np.array([0.5, 0.5])
+    cond = Condition(source)
+    source[0] = 1.0
+    assert np.array_equal(cond.effective_weights(mix), [0.5, 0.5])
+    assert not cond.weights.flags.writeable
     with pytest.raises(ValueError):
-        Condition.for_component(2).effective_weights(mix)
-    with pytest.raises(ValueError):
-        Condition.reweight([0.5, 0.6])
-    with pytest.raises(ValueError):
-        Condition.reweight([1.5, -0.5])
+        Condition(np.array([0.0, 0.0, 1.0])).effective_weights(mix)
+    for bad in ([0.5, 0.6], [1.5, -0.5], [math.nan, math.nan], [[0.5, 0.5]]):
+        with pytest.raises(ValueError):
+            Condition(np.array(bad))
 
 
 def test_predict_guidance_contracts(two_mode_mix, balanced_cond, sched50):

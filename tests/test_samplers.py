@@ -49,7 +49,7 @@ def test_ddim_reruns_are_bit_identical(sched50, two_mode_mix, balanced_cond):
 
 def test_ddim_flow_contracts_to_mean_for_tiny_spread(sched50):
     mix = GaussianMixture(np.array([1.0]), np.array([[1.2, -0.7]]), np.array([1e-4]))
-    res = run_ddim(start_state(sched50), Condition.unconditional(), mix, CFG, sched50)
+    res = run_ddim(start_state(sched50), Condition(), mix, CFG, sched50)
     assert np.max(np.abs(res.x0 - mix.means[0])) <= 1e-6
 
 
@@ -67,7 +67,7 @@ def test_resampling_degenerates_to_ddim_when_ratios_are_one():
     # injected noise never enters and both strategies walk the same trajectory.
     sched = NoiseSchedule(5, np.ones(6))
     mix = GaussianMixture(np.array([1.0]), np.array([[0.5, 0.5]]), np.array([1.0]))
-    cond = Condition.unconditional()
+    cond = Condition()
     x_T = LatentState(np.array([0.3, -0.8]), 5)
     res = run_resampling(x_T, cond, mix, CFG, sched, seed=1)
     ref = run_ddim(x_T, cond, mix, CFG, sched)
@@ -184,7 +184,8 @@ def test_ctrlz_first_step_never_triggers_reward_based(sched50, two_mode_mix, bal
 
 def test_ctrlz_window_semantics_and_reward_accounting(sched50, two_mode_mix, balanced_cond):
     params = default_params(window=12)
-    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=7)
+    res = run_ctrlz(start_state(sched50, 5), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=7)
+    assert res.events, "this start should explore inside the window"
     assert all(ev.t > 50 - 12 for ev in res.events)
     candidate_calls = sum(ev.candidates_evaluated for ev in res.events)
     assert res.reward_calls == 12 + candidate_calls
@@ -193,7 +194,8 @@ def test_ctrlz_window_semantics_and_reward_accounting(sched50, two_mode_mix, bal
 
 def test_ctrlz_nfe_matches_closed_form(sched50, two_mode_mix, balanced_cond):
     params = default_params()
-    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=11)
+    res = run_ctrlz(start_state(sched50, 3), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=11)
+    assert {ev.terminated_by for ev in res.events} == set(TerminatedBy)
     extra = 0
     for ev in res.events:
         for j in range(1, ev.depths_tried + 1):
