@@ -78,9 +78,9 @@ class Prediction:
     eps_noise: np.ndarray
 
 
-def _require_level(state: LatentState, sched: NoiseSchedule, minimum: int = 1) -> None:
-    if state.t < minimum:
-        raise ValueError(f"operation requires level >= {minimum}, got {state.t}")
+def _require_level(state: LatentState, sched: NoiseSchedule) -> None:
+    if state.t < 1:
+        raise ValueError(f"operation requires level >= 1, got {state.t}")
     if state.t > sched.num_steps:
         raise ValueError(f"level {state.t} outside schedule with {sched.num_steps} steps")
 

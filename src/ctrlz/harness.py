@@ -7,9 +7,10 @@ import csv
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -370,6 +371,14 @@ def _sampler(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> 
     return lambda x_T, cond, mix, sched, reward, seed: run_ddim(x_T, cond, mix, guidance, sched, seed)
 
 
+def _histograms(results: Iterable[RunResult]) -> tuple[dict[str, int], dict[str, int]]:
+    """Count exploration events by step and by ``terminal_depth:terminated_by``, each in bucket order."""
+    events = [ev for res in results for ev in res.events]
+    initiation = Counter(str(ev.t) for ev in events)
+    depth = Counter(f"{ev.terminal_depth}:{ev.terminated_by.value}" for ev in events)
+    return dict(sorted(initiation.items(), key=lambda kv: int(kv[0]))), dict(sorted(depth.items()))
+
+
 def _aggregate(
     label: str,
     results: list[RunResult],
@@ -385,13 +394,7 @@ def _aggregate(
         with np.errstate(over="ignore"):  # a distance too large for a float is +inf: not escaped
             escaped = [bool(np.linalg.norm(r.x0 - target) <= cfg.escape.radius) for r in results]
         escape_rate = sum(escaped) / len(escaped)
-    initiation: dict[str, int] = {}
-    depth: dict[str, int] = {}
-    for res in results:
-        for ev in res.events:
-            initiation[str(ev.t)] = initiation.get(str(ev.t), 0) + 1
-            key = f"{ev.terminal_depth}:{ev.terminated_by.value}"
-            depth[key] = depth.get(key, 0) + 1
+    initiation, depth = _histograms(results)
     finals_arr = np.array(finals)
     stats = AggregateStats(
         strategy=label,
@@ -401,8 +404,8 @@ def _aggregate(
         escape_rate=escape_rate,
         mean_nfe_avg=float(np.mean([r.nfe_avg for r in results])),
         mean_reward_calls=float(np.mean([r.reward_calls for r in results])),
-        initiation_histogram=dict(sorted(initiation.items(), key=lambda kv: int(kv[0]))),
-        depth_histogram=dict(sorted(depth.items())),
+        initiation_histogram=initiation,
+        depth_histogram=depth,
     )
     return StrategyOutcome(stats, results, finals, escaped)
 
@@ -498,10 +501,7 @@ def write_outputs(out_dir: str | Path, outcomes: Mapping[str, StrategyOutcome]) 
         for label, outcome in outcomes.items():
             for i, res in enumerate(outcome.results):
                 for ev in res.events:
-                    record = asdict(ev)
-                    record["terminated_by"] = ev.terminated_by.value
-                    record["run_index"] = i
-                    record["strategy"] = label
+                    record = {**asdict(ev), "terminated_by": ev.terminated_by.value, "run_index": i, "strategy": label}
                     fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     summary = {label: asdict(outcome.stats) for label, outcome in outcomes.items()}
@@ -509,20 +509,12 @@ def write_outputs(out_dir: str | Path, outcomes: Mapping[str, StrategyOutcome]) 
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    initiation: dict[str, int] = {}
-    depth: dict[str, int] = {}
-    for outcome in outcomes.values():
-        for bucket, count in outcome.stats.initiation_histogram.items():
-            initiation[bucket] = initiation.get(bucket, 0) + count
-        for bucket, count in outcome.stats.depth_histogram.items():
-            depth[bucket] = depth.get(bucket, 0) + count
+    initiation, depth = _histograms(res for outcome in outcomes.values() for res in outcome.results)
     with open(out / "histograms.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "bucket", "count"])
-        for bucket in sorted(initiation, key=int):
-            writer.writerow(["initiation", bucket, initiation[bucket]])
-        for bucket in sorted(depth):
-            writer.writerow(["depth", bucket, depth[bucket]])
+        writer.writerows(["initiation", bucket, count] for bucket, count in initiation.items())
+        writer.writerows(["depth", bucket, count] for bucket, count in depth.items())
 
     with open(out / "meta.json", "w") as fh:
         json.dump({"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}, fh, indent=2)

@@ -38,7 +38,7 @@ class GaussianMixture:
             raise ValueError("means must be a (components, dim) array matching weights")
         if s.shape != w.shape:
             raise ValueError("scales must match weights in shape")
-        if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
+        if not np.all(w > 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
             raise ValueError("weights must be positive and sum to 1")
         if np.any(s <= 0.0) or np.any(s > _MAX_SCALE):
             raise ValueError(f"scales must lie in (0, {_MAX_SCALE:g}]")

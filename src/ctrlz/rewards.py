@@ -76,18 +76,18 @@ def score(spec: RewardSpec, cond: Condition, x0_hat: np.ndarray) -> float:
 
 
 def _raw_score(spec: RewardSpec, cond: Condition, x: np.ndarray) -> float:
-    if isinstance(spec, NegDistance):
-        return -float(np.linalg.norm(x - spec.target))
     if isinstance(spec, LogDensity):
         return _mixture_log_density(spec.mix, cond, x)
-    if isinstance(spec, Plateau):
-        dist = float(np.linalg.norm(x - spec.target))
-        if dist < spec.inner_radius:
-            return spec.peak_value * (1.0 - dist / spec.inner_radius)
-        if dist <= spec.outer_radius:
-            return spec.plateau_value
-        return spec.plateau_value * (spec.outer_radius / dist)
-    raise TypeError(f"unknown reward spec {type(spec).__name__}")
+    if x.shape != spec.target.shape:
+        raise ValueError("point dimension does not match reward target")
+    dist = float(np.linalg.norm(x - spec.target))
+    if isinstance(spec, NegDistance):
+        return -dist
+    if dist < spec.inner_radius:
+        return spec.peak_value * (1.0 - dist / spec.inner_radius)
+    if dist <= spec.outer_radius:
+        return spec.plateau_value
+    return spec.plateau_value * (spec.outer_radius / dist)
 
 
 def _mixture_log_density(mix: GaussianMixture, cond: Condition, x: np.ndarray) -> float:

@@ -221,32 +221,6 @@ def run_zsampling(
     return _finish(state, [], [], ctx, sched, seed)
 
 
-def _evaluate_candidate(
-    ctx: EvalContext,
-    cond: Condition,
-    mix: GaussianMixture,
-    guidance: GuidanceConfig,
-    sched: NoiseSchedule,
-    reward: RewardSpec,
-    origin: LatentState,
-    delta: int,
-    key: tuple[int, int, int, int],
-) -> tuple[float, LatentState]:
-    """One zigzag: re-noise ``origin`` by ``delta`` levels with the keyed
-    noise, denoise back to its level, and score the result."""
-    noise = keyed_rng(*key).standard_normal(origin.dim)
-    cand = stochastic_invert(origin, delta, noise, sched)
-    for _k in range(origin.t + delta, origin.t - 1, -1):
-        cand, cand_x0 = _advance(ctx, cand, cond, mix, guidance, sched)
-    return _scored(ctx, reward, cond, cand_x0), cand
-
-
-def _policy_fires(params: CtrlZParams, seed: int, t: int) -> bool:
-    if params.initiation is InitiationPolicy.RANDOM:
-        return bool(keyed_rng(seed, t, 0, 0).uniform() < params.random_p)
-    return True
-
-
 def run_ctrlz(
     x_T: LatentState,
     cond: Condition,
@@ -329,22 +303,26 @@ def _search(
     state = x_T
     for t in range(T, 0, -1):
         next_state, x0_hat = _advance(ctx, state, cond, mix, params.guidance, sched)
-        if t > T - params.window and _policy_fires(params, seed, t):
+        if t > T - params.window and (
+            params.initiation is not InitiationPolicy.RANDOM or keyed_rng(seed, t, 0, 0).uniform() < params.random_p
+        ):
             r = _scored(ctx, reward, cond, x0_hat)
             if params.initiation is InitiationPolicy.REWARD_BASED and r > r_prev + params.threshold:
                 r_prev = r
-                trace.append(r)
             else:
                 best_score, best_state = r, next_state
                 terminated = TerminatedBy.DEPTH_CAP
                 for depth in range(1, params.max_depth + 1):  # max_depth >= 1: always entered
                     delta = min(depth, T - t)
                     for i in range(1, params.n_candidates + 1):
-                        cand_score, cand_state = _evaluate_candidate(
-                            ctx, cond, mix, explore_guidance, sched, reward, state, delta, (seed, t, depth, i)
-                        )
+                        # One zigzag: re-noise the pre-step state by delta levels, denoise to level t - 1, score.
+                        noise = keyed_rng(seed, t, depth, i).standard_normal(state.dim)
+                        cand = stochastic_invert(state, delta, noise, sched)
+                        for _k in range(delta + 1):
+                            cand, cand_x0 = _advance(ctx, cand, cond, mix, explore_guidance, sched)
+                        cand_score = _scored(ctx, reward, cond, cand_x0)
                         if cand_score > best_score:
-                            best_score, best_state = cand_score, cand_state
+                            best_score, best_state = cand_score, cand
                     if best_score > r_prev + params.threshold:
                         terminated = TerminatedBy.THRESHOLD_MET
                         break
@@ -362,6 +340,6 @@ def _search(
                 )
                 next_state = best_state
                 r_prev = best_score
-                trace.append(best_score)
+            trace.append(r_prev)
         state = next_state
     return _finish(state, trace, events, ctx, sched, seed)

@@ -1,4 +1,4 @@
-"""Golden digests: the byte-stable output files of a short `compare` run.
+"""Golden digests: the byte-stable output files of a short `compare` or `sweep` run.
 
 Each shipped config runs all five strategies for 8 runs; the sha256 prefixes
 of the four byte-stable files must match the recorded ones. They were
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ctrlz.harness import STRATEGY_NAMES, compare, load_config, parse_config, write_outputs
+from ctrlz.harness import STRATEGY_NAMES, compare, load_config, parse_config, sweep, write_outputs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FILES = ("runs.csv", "events.jsonl", "summary.json", "histograms.csv")
@@ -64,3 +64,28 @@ def test_condition_compare_matches_golden_digests(kind, tmp_path):
     write_outputs(tmp_path, compare(parse_config(doc, runs=8), STRATEGY_NAMES))
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
     assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_CONDITION[kind]))
+
+# two_mode_escape through the two paths no other golden reaches: a sweep, whose histograms.csv sums four
+# cells, and the ctrlz initiation policies that skip the acceptance pre-check.
+GOLDEN_SWEEP = ("bddce418373e51e2", "d7c87ab86307337d", "c91f186b8906b9ab", "0510868c90d71869")
+GOLDEN_INITIATION = {
+    "random": ("1d6045cc9ac79d25", "f9893ecda8a37350", "781df90b456eb72e", "37a2d288230502e3"),
+    "always": ("edd0ee389f375212", "5456b070409cf3b6", "27a5cfe258bb40b9", "828fece7ca1ee549"),
+}
+
+
+def test_sweep_matches_golden_digests(tmp_path):
+    doc = json.loads((CONFIGS / "two_mode_escape.json").read_text())
+    write_outputs(tmp_path, sweep(parse_config(doc, runs=8), [1, 2], [1, 2]))
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
+    assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_SWEEP))
+
+
+@pytest.mark.parametrize("initiation", sorted(GOLDEN_INITIATION))
+def test_initiation_compare_matches_golden_digests(initiation, tmp_path):
+    doc = json.loads((CONFIGS / "two_mode_escape.json").read_text())
+    doc["strategy"]["initiation"] = initiation
+    doc["strategy"]["random_p"] = 0.5
+    write_outputs(tmp_path, compare(parse_config(doc, runs=8), STRATEGY_NAMES))
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
+    assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_INITIATION[initiation]))

@@ -239,3 +239,5 @@ def test_mixture_validation():
         GaussianMixture(np.array([1.0]), np.array([[float("nan")]]), np.array([1.0]))
     with pytest.raises(ValueError, match="scales"):
         GaussianMixture(np.array([0.5, 0.5]), np.array([[0.0], [1.0]]), np.array([1e200, 0.7]))
+    with pytest.raises(ValueError, match="weights"):
+        GaussianMixture(np.array([float("nan")]), np.array([[0.0, 0.0]]), np.array([1.0]))

@@ -114,3 +114,12 @@ def test_plateau_validation():
 def test_score_rejects_non_finite_points():
     with pytest.raises(ValueError):
         score(NegDistance(np.zeros(1)), UNCOND, np.array([float("nan")]))
+
+
+@pytest.mark.parametrize(
+    "spec", [NegDistance(np.array([3.0])), Plateau(np.array([3.0]), 1.0, 2.0, 0.0, 1.0)], ids=["neg_distance", "plateau"]
+)
+def test_score_rejects_a_point_of_another_dimension(spec):
+    # A one-element target would otherwise broadcast against the point.
+    with pytest.raises(ValueError, match="dimension"):
+        score(spec, UNCOND, np.array([3.0, 0.0]))
