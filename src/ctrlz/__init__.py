@@ -14,7 +14,6 @@ from .dynamics import (
 )
 from .models import (
     Condition,
-    EvalContext,
     GaussianMixture,
     exact_epsilon,
     predict,
@@ -39,7 +38,6 @@ from .seeding import keyed_rng, mix_seed
 __all__ = [
     "Condition",
     "CtrlZParams",
-    "EvalContext",
     "ExplorationEvent",
     "ExplorationGuidance",
     "GaussianMixture",

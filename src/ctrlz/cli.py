@@ -65,6 +65,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             names = [s for s in args.strategies.split(",") if s]
             outcomes = compare(cfg, names)
+        try:
+            write_outputs(args.out, outcomes)
+        except OSError as exc:
+            raise ConfigError("out", f"cannot write outputs: {exc}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -72,7 +76,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    write_outputs(args.out, outcomes)
     header = f"{'strategy':28s} {'runs':>5s} {'mean_reward':>12s} {'escape':>7s} {'nfe_avg':>8s}"
     print(header)
     for label, outcome in outcomes.items():

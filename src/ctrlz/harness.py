@@ -443,11 +443,10 @@ def compare(cfg: ExperimentConfig, strategies: Sequence[str]) -> dict[str, Strat
             raise ConfigError("strategies", f"unknown strategy {name!r}")
     if len(set(strategies)) != len(strategies):
         raise ConfigError("strategies", f"a strategy is named twice in {list(strategies)}")
-    outcomes: dict[str, StrategyOutcome] = {}
-    for name in strategies:
-        params = cfg.strategy.params if cfg.strategy.name == name else {}
-        outcomes[name] = run_experiment(cfg, StrategyConfig(name, params), label=name)
-    return outcomes
+    chosen = {name: StrategyConfig(name, cfg.strategy.params if cfg.strategy.name == name else {}) for name in strategies}
+    for strategy in chosen.values():  # every strategy's parameters, before the first run
+        _sampler(strategy, cfg.build_guidance(), cfg.schedule.infer_steps)
+    return {name: run_experiment(cfg, strategy, label=name) for name, strategy in chosen.items()}
 
 
 def sweep(

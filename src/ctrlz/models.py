@@ -1,4 +1,4 @@
-"""Analytic denoiser over Gaussian-mixture data, plus evaluation counters.
+"""Analytic denoiser over Gaussian-mixture data.
 
 The noise prediction is exact: it is derived from the score of the noised
 mixture marginal, so the clean estimate it induces equals the true posterior
@@ -85,17 +85,6 @@ class Condition:
 UNCONDITIONAL = Condition()
 
 
-@dataclass
-class EvalContext:
-    """One run's counts of denoiser forward passes and reward evaluations.
-
-    Each sampler run creates its own and reads it back into its result.
-    """
-
-    nfe_count: int = 0
-    reward_calls: int = 0
-
-
 def exact_epsilon(
     x_t: LatentState, cond: Condition, mix: GaussianMixture, sched: NoiseSchedule
 ) -> np.ndarray:
@@ -125,14 +114,13 @@ def exact_epsilon(
 
 
 def predict(
-    ctx: EvalContext,
     x_t: LatentState,
     cond: Condition,
     mix: GaussianMixture,
     guidance: GuidanceConfig,
     sched: NoiseSchedule,
 ) -> Prediction:
-    """One guided denoiser forward pass; increments the NFE counter by one.
+    """One guided denoiser forward pass.
 
     Both guidance branches are evaluated internally, matching a batched
     conditional/unconditional pipeline that still counts as a single pass.
@@ -141,7 +129,6 @@ def predict(
     eps_cond = exact_epsilon(x_t, cond, mix, sched)
     eps_uncond = eps_cond if cond.weights is None else exact_epsilon(x_t, UNCONDITIONAL, mix, sched)
     eps = guided_epsilon(eps_cond, eps_uncond, guidance.omega)
-    ctx.nfe_count += 1
     if x_t.t == 0:
         x0_hat = x_t.x.copy()
     else:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import GuidanceConfig, GuidanceMode, LatentState, ddim_step, deterministic_invert, stochastic_invert
-from .models import Condition, EvalContext, GaussianMixture, predict
+from .dynamics import GuidanceConfig, GuidanceMode, LatentState, Prediction, ddim_step, deterministic_invert, stochastic_invert
+from .models import Condition, GaussianMixture, predict
 from .rewards import RewardSpec, score
 from .schedule import NoiseSchedule
 from .seeding import keyed_rng
@@ -118,46 +118,42 @@ class RunResult:
         )
 
 
-def _advance(
-    ctx: EvalContext,
-    state: LatentState,
-    cond: Condition,
-    mix: GaussianMixture,
-    guidance: GuidanceConfig,
-    sched: NoiseSchedule,
-) -> tuple[LatentState, np.ndarray]:
-    """One guided denoising step; returns the new state and its clean estimate."""
-    pred = predict(ctx, state, cond, mix, guidance, sched)
-    return ddim_step(state, pred.x0_hat, pred.eps_noise, sched), pred.x0_hat
+class _Run:
+    """One run's fixed inputs and its exact counts of forward passes and reward calls.
 
+    Its methods are the only sampler code that calls ``predict`` and ``score``;
+    each counts the call where it makes it.
+    """
 
-def _scored(ctx: EvalContext, reward: RewardSpec, cond: Condition, x0_hat: np.ndarray) -> float:
-    ctx.reward_calls += 1
-    return score(reward, cond, x0_hat)
+    def __init__(self, x_T: LatentState, cond: Condition, mix: GaussianMixture, sched: NoiseSchedule, seed: int):
+        if x_T.t != sched.num_steps:
+            raise ValueError(f"start state must sit at level {sched.num_steps}, got {x_T.t}")
+        self.cond, self.mix, self.sched, self.seed = cond, mix, sched, seed
+        self.nfe = self.reward_calls = 0
 
+    def predict(self, state: LatentState, guidance: GuidanceConfig) -> Prediction:
+        self.nfe += 1
+        return predict(state, self.cond, self.mix, guidance, self.sched)
 
-def _check_start(x_T: LatentState, sched: NoiseSchedule) -> None:
-    if x_T.t != sched.num_steps:
-        raise ValueError(f"start state must sit at level {sched.num_steps}, got {x_T.t}")
+    def advance(self, state: LatentState, guidance: GuidanceConfig) -> tuple[LatentState, np.ndarray]:
+        """One guided denoising step; returns the new state and its clean estimate."""
+        pred = self.predict(state, guidance)
+        return ddim_step(state, pred.x0_hat, pred.eps_noise, self.sched), pred.x0_hat
 
+    def score(self, reward: RewardSpec, x0_hat: np.ndarray) -> float:
+        self.reward_calls += 1
+        return score(reward, self.cond, x0_hat)
 
-def _finish(
-    x0: LatentState,
-    trace: list[float],
-    events: list[ExplorationEvent],
-    ctx: EvalContext,
-    sched: NoiseSchedule,
-    seed: int,
-) -> RunResult:
-    return RunResult(
-        x0=x0.x,
-        reward_trace=trace,
-        events=events,
-        nfe_total=ctx.nfe_count,
-        nfe_avg=ctx.nfe_count / sched.num_steps,
-        reward_calls=ctx.reward_calls,
-        seed=seed,
-    )
+    def result(self, state: LatentState, trace: list[float], events: list[ExplorationEvent]) -> RunResult:
+        return RunResult(
+            x0=state.x,
+            reward_trace=trace,
+            events=events,
+            nfe_total=self.nfe,
+            nfe_avg=self.nfe / self.sched.num_steps,
+            reward_calls=self.reward_calls,
+            seed=self.seed,
+        )
 
 
 def run_ddim(
@@ -185,15 +181,13 @@ def run_resampling(
 
     The re-denoised state is always taken; two forward passes per step.
     """
-    _check_start(x_T, sched)
-    ctx = EvalContext()
+    run = _Run(x_T, cond, mix, sched, seed)
     state = x_T
     for t in range(sched.num_steps, 0, -1):
-        state, _ = _advance(ctx, state, cond, mix, guidance, sched)
+        state, _ = run.advance(state, guidance)
         noise = keyed_rng(seed, t, 0, 0).standard_normal(state.dim)
-        renoised = stochastic_invert(state, 1, noise, sched)
-        state, _ = _advance(ctx, renoised, cond, mix, guidance, sched)
-    return _finish(state, [], [], ctx, sched, seed)
+        state, _ = run.advance(stochastic_invert(state, 1, noise, sched), guidance)
+    return run.result(state, [], [])
 
 
 def run_zsampling(
@@ -210,15 +204,13 @@ def run_zsampling(
 
     The inversion prediction defaults to unconditional (scale 0).
     """
-    _check_start(x_T, sched)
-    ctx = EvalContext()
+    run = _Run(x_T, cond, mix, sched, seed)
     state = x_T
     for _t in range(sched.num_steps, 0, -1):
-        lowered, _ = _advance(ctx, state, cond, mix, guidance, sched)
-        pred_inv = predict(ctx, lowered, cond, mix, inversion_guidance, sched)
-        raised = deterministic_invert(lowered, pred_inv.eps, sched)
-        state, _ = _advance(ctx, raised, cond, mix, guidance, sched)
-    return _finish(state, [], [], ctx, sched, seed)
+        lowered, _ = run.advance(state, guidance)
+        raised = deterministic_invert(lowered, run.predict(lowered, inversion_guidance).eps, sched)
+        state, _ = run.advance(raised, guidance)
+    return run.result(state, [], [])
 
 
 def run_ctrlz(
@@ -286,7 +278,7 @@ def _search(
     seed: int,
 ) -> RunResult:
     """The one search loop behind ``run_ddim``, ``run_ctrlz`` and ``run_sop``."""
-    _check_start(x_T, sched)
+    run = _Run(x_T, cond, mix, sched, seed)
     if reward is None and params.window > 0:
         raise ValueError("a search with a nonempty window requires a reward")
     T = sched.num_steps
@@ -296,17 +288,16 @@ def _search(
     if params.exploration_guidance is ExplorationGuidance.CFG_IN_EXPLORATION:
         explore_guidance = GuidanceConfig(params.guidance.omega, GuidanceMode.CFG)
 
-    ctx = EvalContext()
     trace: list[float] = []
     events: list[ExplorationEvent] = []
     r_prev = -math.inf
     state = x_T
     for t in range(T, 0, -1):
-        next_state, x0_hat = _advance(ctx, state, cond, mix, params.guidance, sched)
+        next_state, x0_hat = run.advance(state, params.guidance)
         if t > T - params.window and (
             params.initiation is not InitiationPolicy.RANDOM or keyed_rng(seed, t, 0, 0).uniform() < params.random_p
         ):
-            r = _scored(ctx, reward, cond, x0_hat)
+            r = run.score(reward, x0_hat)
             if params.initiation is InitiationPolicy.REWARD_BASED and r > r_prev + params.threshold:
                 r_prev = r
             else:
@@ -319,8 +310,8 @@ def _search(
                         noise = keyed_rng(seed, t, depth, i).standard_normal(state.dim)
                         cand = stochastic_invert(state, delta, noise, sched)
                         for _k in range(delta + 1):
-                            cand, cand_x0 = _advance(ctx, cand, cond, mix, explore_guidance, sched)
-                        cand_score = _scored(ctx, reward, cond, cand_x0)
+                            cand, cand_x0 = run.advance(cand, explore_guidance)
+                        cand_score = run.score(reward, cand_x0)
                         if cand_score > best_score:
                             best_score, best_state = cand_score, cand
                     if best_score > r_prev + params.threshold:
@@ -342,4 +333,4 @@ def _search(
                 r_prev = best_score
             trace.append(r_prev)
         state = next_state
-    return _finish(state, trace, events, ctx, sched, seed)
+    return run.result(state, trace, events)

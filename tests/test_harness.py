@@ -165,6 +165,18 @@ def test_paired_seeds_across_strategies_and_cells():
     assert all(s == cell_seeds[0] for s in cell_seeds)
 
 
+def test_compare_checks_every_strategy_before_the_first_run(monkeypatch):
+    # The config names sop, so ctrlz keeps its default window of 40, beyond these 20 steps.
+    cfg = parse_config(base_doc(strategy={"name": "sop", "n_candidates": 2}))
+    calls = []
+    run_ddim = ctrlz.harness.run_ddim
+    monkeypatch.setattr(ctrlz.harness, "run_ddim", lambda *args: calls.append(args) or run_ddim(*args))
+    with pytest.raises(ConfigError) as err:
+        compare(cfg, STRATEGY_NAMES)
+    assert err.value.field == "config.strategy.window"
+    assert calls == []
+
+
 def test_compare_reproduces_reference_nfe_column():
     doc = base_doc()
     doc["schedule"]["infer_steps"] = 50
@@ -274,10 +286,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         pytest.param("deep.json", "out", "config", id="config-too-deep"),
         pytest.param("config.json", "config.json", "out", id="out-is-file"),
         pytest.param("config.json", "config.json/out", "out", id="out-under-file"),
+        pytest.param("config.json", "taken", "out", id="out-file-is-directory"),
     ],
 )
 def test_cli_unreadable_config_or_out_exits_2(tmp_path, capsys, config, out, field):
     write_config(tmp_path, base_doc())
+    (tmp_path / "taken" / "runs.csv").mkdir(parents=True)
     (tmp_path / "latin1.json").write_bytes(b'{"seeds": {"runs": "\xe9"}}')
     (tmp_path / "deep.json").write_text("[" * 100000)
     assert cli_main(["run", str(tmp_path / config), "--out", str(tmp_path / out)]) == 2

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ctrlz import (
     Condition,
-    EvalContext,
     GaussianMixture,
     GuidanceConfig,
     GuidanceMode,
@@ -200,34 +199,21 @@ def test_condition_reweightings():
 
 
 def test_predict_guidance_contracts(two_mode_mix, balanced_cond, sched50):
-    ctx = EvalContext()
     x = LatentState(np.array([0.4, -0.2]), 20)
-    pred = predict(ctx, x, balanced_cond, two_mode_mix, GuidanceConfig(1.0, GuidanceMode.CFG), sched50)
+    pred = predict(x, balanced_cond, two_mode_mix, GuidanceConfig(1.0, GuidanceMode.CFG), sched50)
     assert np.allclose(pred.eps, exact_epsilon(x, balanced_cond, two_mode_mix, sched50), rtol=1e-14)
-    pred_u = predict(ctx, x, UNCOND, two_mode_mix, GuidanceConfig(4.0, GuidanceMode.CFG), sched50)
+    pred_u = predict(x, UNCOND, two_mode_mix, GuidanceConfig(4.0, GuidanceMode.CFG), sched50)
     assert np.array_equal(pred_u.eps_noise, pred_u.eps)
-    pred_pp = predict(ctx, x, balanced_cond, two_mode_mix, GuidanceConfig(4.0, GuidanceMode.CFG_PLUS_PLUS), sched50)
+    pred_pp = predict(x, balanced_cond, two_mode_mix, GuidanceConfig(4.0, GuidanceMode.CFG_PLUS_PLUS), sched50)
     assert np.array_equal(pred_pp.eps_noise, exact_epsilon(x, UNCOND, two_mode_mix, sched50))
     assert np.allclose(pred_u.eps, exact_epsilon(x, UNCOND, two_mode_mix, sched50), rtol=1e-14)
 
 
 def test_predict_level_zero_degenerates_gracefully(two_mode_mix, balanced_cond, sched50):
-    ctx = EvalContext()
     x = LatentState(np.array([1.0, 2.0]), 0)
-    pred = predict(ctx, x, balanced_cond, two_mode_mix, GuidanceConfig(2.0, GuidanceMode.CFG), sched50)
+    pred = predict(x, balanced_cond, two_mode_mix, GuidanceConfig(2.0, GuidanceMode.CFG), sched50)
     assert np.array_equal(pred.eps, np.zeros(2))
     assert np.array_equal(pred.x0_hat, x.x)
-    assert ctx.nfe_count == 1
-
-
-def test_nfe_counter_counts_every_predict(two_mode_mix, balanced_cond, sched50):
-    ctx = EvalContext()
-    g = GuidanceConfig(1.0, GuidanceMode.CFG)
-    x = LatentState(np.array([0.1, 0.1]), 10)
-    for _ in range(50):
-        predict(ctx, x, balanced_cond, two_mode_mix, g, sched50)
-    assert ctx.nfe_count == 50
-    assert ctx.reward_calls == 0
 
 
 def test_mixture_validation():

@@ -309,10 +309,11 @@ def test_ctrlz_rejects_bad_arguments(sched50, two_mode_mix, balanced_cond):
                 CtrlZParams(**{field: value})
 
 
-def test_samplers_reject_misplaced_start(sched50, two_mode_mix, balanced_cond):
+@pytest.mark.parametrize("strategy", sorted(RUNNERS))
+def test_samplers_reject_misplaced_start(strategy, sched50, two_mode_mix, balanced_cond):
     bad = LatentState(np.zeros(2), 10)
-    with pytest.raises(ValueError):
-        run_ddim(bad, balanced_cond, two_mode_mix, CFG, sched50)
+    with pytest.raises(ValueError, match="start state must sit at level 50, got 10"):
+        RUNNERS[strategy](bad, balanced_cond, two_mode_mix, sched50)
 
 
 def test_cfg_plus_plus_changes_trajectories(sched50, two_mode_mix, balanced_cond):
