@@ -4,8 +4,12 @@ escape rates and reward statistics, and emits machine-readable results."""
 from __future__ import annotations
 
 import csv
+import errno
 import json
+import os
+import shutil
 import sys
+import tempfile
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -32,6 +36,7 @@ from .schedule import NoiseSchedule, build_linear_schedule, subsample
 from .seeding import keyed_rng, mix_seed
 
 STRATEGY_NAMES = ("ddim", "resampling", "zsampling", "sop", "ctrlz")
+_OUTPUT_FILES = ("runs.csv", "events.jsonl", "summary.json", "histograms.csv", "meta.json")
 
 _SECTIONS: dict[str, tuple[str, ...] | None] = {
     "schedule": ("family", "train_steps", "infer_steps", "beta_start", "beta_end"),
@@ -479,42 +484,53 @@ def write_outputs(out_dir: str | Path, outcomes: Mapping[str, StrategyOutcome]) 
     """Emit runs.csv, events.jsonl, summary.json and histograms.csv.
 
     File contents are byte-stable across reruns of the same configuration;
-    wall-clock metadata goes to the meta.json sidecar only.
+    wall-clock metadata goes to the meta.json sidecar only. The set is written
+    into a staging directory and renamed into place only once all of it is
+    written, so a failed write leaves the previous set as it was.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in _OUTPUT_FILES:
+        if (out / name).is_dir():  # a rename cannot replace a directory: refuse before writing anything
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        with open(staging / "runs.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["run_index", "strategy", "final_reward", "escaped", "nfe_total", "nfe_avg", "reward_calls", "seed"]
+            )
+            for label, outcome in outcomes.items():
+                for i, res in enumerate(outcome.results):
+                    escaped = "" if outcome.escaped is None else str(outcome.escaped[i]).lower()
+                    writer.writerow(
+                        [i, label, repr(outcome.final_rewards[i]), escaped, res.nfe_total, repr(res.nfe_avg), res.reward_calls, res.seed]
+                    )
 
-    with open(out / "runs.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["run_index", "strategy", "final_reward", "escaped", "nfe_total", "nfe_avg", "reward_calls", "seed"]
-        )
-        for label, outcome in outcomes.items():
-            for i, res in enumerate(outcome.results):
-                escaped = "" if outcome.escaped is None else str(outcome.escaped[i]).lower()
-                writer.writerow(
-                    [i, label, repr(outcome.final_rewards[i]), escaped, res.nfe_total, repr(res.nfe_avg), res.reward_calls, res.seed]
-                )
+        with open(staging / "events.jsonl", "w") as fh:
+            for label, outcome in outcomes.items():
+                for i, res in enumerate(outcome.results):
+                    for ev in res.events:
+                        record = {**asdict(ev), "terminated_by": ev.terminated_by.value, "run_index": i, "strategy": label}
+                        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    with open(out / "events.jsonl", "w") as fh:
-        for label, outcome in outcomes.items():
-            for i, res in enumerate(outcome.results):
-                for ev in res.events:
-                    record = {**asdict(ev), "terminated_by": ev.terminated_by.value, "run_index": i, "strategy": label}
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+        summary = {label: asdict(outcome.stats) for label, outcome in outcomes.items()}
+        with open(staging / "summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
-    summary = {label: asdict(outcome.stats) for label, outcome in outcomes.items()}
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        initiation, depth = _histograms(res for outcome in outcomes.values() for res in outcome.results)
+        with open(staging / "histograms.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["kind", "bucket", "count"])
+            writer.writerows(["initiation", bucket, count] for bucket, count in initiation.items())
+            writer.writerows(["depth", bucket, count] for bucket, count in depth.items())
 
-    initiation, depth = _histograms(res for outcome in outcomes.values() for res in outcome.results)
-    with open(out / "histograms.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "bucket", "count"])
-        writer.writerows(["initiation", bucket, count] for bucket, count in initiation.items())
-        writer.writerows(["depth", bucket, count] for bucket, count in depth.items())
+        with open(staging / "meta.json", "w") as fh:
+            json.dump({"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}, fh, indent=2)
+            fh.write("\n")
 
-    with open(out / "meta.json", "w") as fh:
-        json.dump({"written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}, fh, indent=2)
-        fh.write("\n")
+        for name in _OUTPUT_FILES:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging)

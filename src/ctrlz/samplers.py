@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -179,15 +180,12 @@ def run_resampling(
 ) -> RunResult:
     """Per step: denoise, re-noise one level with fresh noise, denoise again.
 
-    The re-denoised state is always taken; two forward passes per step.
-    """
-    run = _Run(x_T, cond, mix, sched, seed)
-    state = x_T
-    for t in range(sched.num_steps, 0, -1):
-        state, _ = run.advance(state, guidance)
-        noise = keyed_rng(seed, t, 0, 0).standard_normal(state.dim)
-        state, _ = run.advance(stochastic_invert(state, 1, noise, sched), guidance)
-    return run.result(state, [], [])
+    The search with an empty window and a one-level stochastic zigzag after
+    every step; the re-denoised state is always kept. Two passes per step."""
+    def zigzag(run: _Run, state: LatentState, t: int) -> LatentState:
+        return stochastic_invert(state, 1, keyed_rng(seed, t, 0, 0).standard_normal(state.dim), sched)
+
+    return _search(x_T, cond, mix, sched, None, CtrlZParams(window=0, guidance=guidance), seed, zigzag)
 
 
 def run_zsampling(
@@ -202,15 +200,12 @@ def run_zsampling(
     """Per step: denoise, deterministically re-invert along a weakly guided
     prediction, then denoise again; fully deterministic, three passes per step.
 
-    The inversion prediction defaults to unconditional (scale 0).
-    """
-    run = _Run(x_T, cond, mix, sched, seed)
-    state = x_T
-    for _t in range(sched.num_steps, 0, -1):
-        lowered, _ = run.advance(state, guidance)
-        raised = deterministic_invert(lowered, run.predict(lowered, inversion_guidance).eps, sched)
-        state, _ = run.advance(raised, guidance)
-    return run.result(state, [], [])
+    The search with an empty window and a one-level deterministic zigzag after
+    every step. The inversion prediction defaults to unconditional (scale 0)."""
+    def zigzag(run: _Run, state: LatentState, t: int) -> LatentState:
+        return deterministic_invert(state, run.predict(state, inversion_guidance).eps, sched)
+
+    return _search(x_T, cond, mix, sched, None, CtrlZParams(window=0, guidance=guidance), seed, zigzag)
 
 
 def run_ctrlz(
@@ -276,8 +271,10 @@ def _search(
     reward: RewardSpec | None,
     params: CtrlZParams,
     seed: int,
+    zigzag: Callable[[_Run, LatentState, int], LatentState] | None = None,
 ) -> RunResult:
-    """The one search loop behind ``run_ddim``, ``run_ctrlz`` and ``run_sop``."""
+    """The one loop over steps, behind all five strategies. ``zigzag(run, state, t)``, when
+    given, re-noises each default step's result, which one more guided step then denoises."""
     run = _Run(x_T, cond, mix, sched, seed)
     if reward is None and params.window > 0:
         raise ValueError("a search with a nonempty window requires a reward")
@@ -294,6 +291,8 @@ def _search(
     state = x_T
     for t in range(T, 0, -1):
         next_state, x0_hat = run.advance(state, params.guidance)
+        if zigzag is not None:
+            next_state, x0_hat = run.advance(zigzag(run, next_state, t), params.guidance)
         if t > T - params.window and (
             params.initiation is not InitiationPolicy.RANDOM or keyed_rng(seed, t, 0, 0).uniform() < params.random_p
         ):

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -360,6 +361,60 @@ def test_cli_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("broken", ["events-is-directory", "summary-write-fails"])
+def test_failed_output_write_keeps_the_previous_set(tmp_path, capsys, monkeypatch, broken):
+    path = write_config(tmp_path, base_doc(strategy={"name": "ddim"}))
+    out = tmp_path / "out"
+    assert cli_main(["run", str(path), "--runs", "2", "--out", str(out)]) == 0
+    if broken == "events-is-directory":
+        (out / "events.jsonl").unlink()
+        (out / "events.jsonl").mkdir()
+    else:
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(json, "dump", full_disk)  # runs.csv and events.jsonl are written by then
+    before = {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()}
+    assert cli_main(["run", str(path), "--runs", "3", "--out", str(out)]) == 2
+    assert "config error: out: cannot write outputs" in capsys.readouterr().err
+    assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
+
+
+# Runs in a child, so that rebinding the package's functions cannot leak into other tests.
+TRACED_COMPARE = """
+import json, sys
+from pathlib import Path
+from ctrlz import harness
+from tracer import Tracer, layer_times
+tracer = Tracer()
+tracer.install()
+doc = json.loads(Path(sys.argv[1]).read_text())
+doc["schedule"]["infer_steps"] = 10
+doc["strategy"]["window"] = 8
+harness.compare(harness.parse_config(doc, runs=3), harness.STRATEGY_NAMES)
+tracer.save(sys.argv[2])
+stats = layer_times(sys.argv[2])
+print(json.dumps({name: stats[f"samplers.run_{name}"]["calls"] for name in harness.STRATEGY_NAMES}))
+"""
+
+
+def test_benchmark_tracer_finds_every_site(tmp_path):
+    """bench/tracer.py rebinds the package's functions by name; a refactor must keep every site it needs."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(ctrlz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, str(root / "bench")))}
+    config = str(root / "configs" / "two_mode_escape.json")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", TRACED_COMPARE, config, str(tmp_path / "spans.npz")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {name: 3 for name in STRATEGY_NAMES}
 
 
 # Every key of the config schema, so that an edit can reach the optional ones too.

@@ -16,13 +16,18 @@ from ctrlz import (
     NegDistance,
     NoiseSchedule,
     Plateau,
+    RunResult,
     TerminatedBy,
+    ddim_step,
+    deterministic_invert,
     keyed_rng,
+    predict,
     run_ctrlz,
     run_ddim,
     run_resampling,
     run_sop,
     run_zsampling,
+    stochastic_invert,
 )
 
 CFG = GuidanceConfig(1.0, GuidanceMode.CFG)
@@ -91,6 +96,55 @@ def test_zsampling_inversion_guidance_changes_output(sched50, two_mode_mix, bala
         inversion_guidance=GuidanceConfig(1.0, GuidanceMode.CFG),
     )
     assert not np.array_equal(weak.x0, strong.x0)
+
+
+def reference_resampling(x_T, cond, mix, guidance, sched, seed):
+    """The loop ``run_resampling`` had before it became a preset of the search."""
+    state = x_T
+    for t in range(sched.num_steps, 0, -1):
+        pred = predict(state, cond, mix, guidance, sched)
+        state = ddim_step(state, pred.x0_hat, pred.eps_noise, sched)
+        noise = keyed_rng(seed, t, 0, 0).standard_normal(state.dim)
+        state = stochastic_invert(state, 1, noise, sched)
+        pred = predict(state, cond, mix, guidance, sched)
+        state = ddim_step(state, pred.x0_hat, pred.eps_noise, sched)
+    return RunResult(state.x, [], [], 2 * sched.num_steps, 2.0, 0, seed)
+
+
+def reference_zsampling(x_T, cond, mix, guidance, sched, inversion_guidance, seed):
+    """The loop ``run_zsampling`` had before it became a preset of the search."""
+    state = x_T
+    for _t in range(sched.num_steps, 0, -1):
+        pred = predict(state, cond, mix, guidance, sched)
+        lowered = ddim_step(state, pred.x0_hat, pred.eps_noise, sched)
+        raised = deterministic_invert(lowered, predict(lowered, cond, mix, inversion_guidance, sched).eps, sched)
+        pred = predict(raised, cond, mix, guidance, sched)
+        state = ddim_step(raised, pred.x0_hat, pred.eps_noise, sched)
+    return RunResult(state.x, [], [], 3 * sched.num_steps, 3.0, 0, seed)
+
+
+ORACLE_GUIDANCE = [GuidanceConfig(2.0, GuidanceMode.CFG), GuidanceConfig(2.0, GuidanceMode.CFG_PLUS_PLUS)]
+ORACLE_CONDITIONS = [Condition(), Condition(np.array([0.3, 0.7]))]
+
+
+@pytest.mark.parametrize("guidance", ORACLE_GUIDANCE, ids=["cfg", "cfg++"])
+@pytest.mark.parametrize("cond", ORACLE_CONDITIONS, ids=["unconditional", "reweight"])
+def test_resampling_matches_reference_loop(guidance, cond, sched50, two_mode_mix):
+    for seed in (0, 3, 11):
+        x_T = start_state(sched50, seed)
+        res = run_resampling(x_T, cond, two_mode_mix, guidance, sched50, seed=seed)
+        assert res == reference_resampling(x_T, cond, two_mode_mix, guidance, sched50, seed)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.5])
+@pytest.mark.parametrize("guidance", ORACLE_GUIDANCE, ids=["cfg", "cfg++"])
+@pytest.mark.parametrize("cond", ORACLE_CONDITIONS, ids=["unconditional", "reweight"])
+def test_zsampling_matches_reference_loop(omega, guidance, cond, sched50, two_mode_mix):
+    inversion = GuidanceConfig(omega, GuidanceMode.CFG)
+    for seed in (0, 3, 11):
+        x_T = start_state(sched50, seed)
+        res = run_zsampling(x_T, cond, two_mode_mix, guidance, sched50, inversion, seed=seed)
+        assert res == reference_zsampling(x_T, cond, two_mode_mix, guidance, sched50, inversion, seed)
 
 
 def test_sop_nfe_accounting(sched50, two_mode_mix, balanced_cond):
