@@ -20,6 +20,14 @@ class NonFiniteError(ArithmeticError):
     """A state or prediction picked up NaN or infinity."""
 
 
+class ConfigError(ValueError):
+    """A value out of range; ``field`` names the offending argument or config entry."""
+
+    def __init__(self, field_path: str, message: str):
+        self.field = field_path
+        super().__init__(f"{field_path}: {message}")
+
+
 class GuidanceMode(enum.Enum):
     CFG = "cfg"
     CFG_PLUS_PLUS = "cfg++"
@@ -38,10 +46,8 @@ class GuidanceConfig:
     mode: GuidanceMode = GuidanceMode.CFG
 
     def __post_init__(self):
-        if not math.isfinite(self.omega):
-            raise ValueError("guidance scale must be finite")
-        if self.omega < 0.0:
-            raise ValueError("guidance scale must be >= 0")
+        if not 0.0 <= self.omega < math.inf:
+            raise ConfigError("omega", f"must be a finite number >= 0, got {self.omega!r}")
 
 
 @dataclass(frozen=True, eq=False)

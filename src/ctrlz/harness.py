@@ -12,14 +12,14 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import GuidanceConfig, GuidanceMode, LatentState
-from .models import _MAX_SCALE, _WEIGHT_TOL, Condition, GaussianMixture
+from .dynamics import ConfigError, GuidanceConfig, GuidanceMode, LatentState, NonFiniteError
+from .models import Condition, GaussianMixture
 from .rewards import LogDensity, NegDistance, Plateau, RewardSpec, score
 from .samplers import (
     CtrlZParams,
@@ -50,14 +50,6 @@ _SECTIONS: dict[str, tuple[str, ...] | None] = {
 }
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; ``field`` names the offending entry."""
-
-    def __init__(self, field_path: str, message: str):
-        self.field = field_path
-        super().__init__(f"{field_path}: {message}")
-
-
 def _get(d: Mapping[str, Any], key: str, path: str) -> Any:
     if key not in d:
         raise ConfigError(f"{path}.{key}", "missing required field")
@@ -72,6 +64,14 @@ def _section(doc: Mapping[str, Any], key: str, default: Any = None) -> Mapping[s
         if _SECTIONS[key] is not None and name not in _SECTIONS[key]:
             raise ConfigError(f"config.{key}.{name}", "unknown key")
     return value
+
+
+def _built(section: str, build: Callable[[], Any]) -> Any:
+    """Call ``build``; a constructor's range error names its argument, which becomes ``config.<section>.<argument>``."""
+    try:
+        return build()
+    except ConfigError as exc:
+        raise ConfigError(f"config.{section}.{exc.field}", str(exc).removeprefix(f"{exc.field}: ")) from None
 
 
 def _positive_int(value: Any, path: str) -> int:
@@ -218,12 +218,8 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     scales = _vector(_get(mx, "scales", "config.mixture"), "config.mixture.scales")
     if len(scales) != len(weights):
         raise ConfigError("config.mixture.scales", "must list one scale per weight")
-    if abs(float(np.sum(weights)) - 1.0) > _WEIGHT_TOL or any(w <= 0 for w in weights):
-        raise ConfigError("config.mixture.weights", "weights must be positive and sum to 1")
-    if any(not 0 < s <= _MAX_SCALE for s in scales):
-        raise ConfigError("config.mixture.scales", f"scales must lie in (0, {_MAX_SCALE:g}]")
     mixture = MixtureConfig(weights, means, scales)
-    dim = len(means[0])
+    mix = _built("mixture", mixture.build)
 
     cn = _section(doc, "condition", {})
     ckind = cn.get("kind", "unconditional")
@@ -242,38 +238,34 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
         cweights = _vector(_get(cn, "weights", "config.condition"), "config.condition.weights")
         if len(cweights) != len(weights):
             raise ConfigError("config.condition.weights", "length must match mixture components")
-        if any(w < 0 for w in cweights) or abs(float(np.sum(cweights)) - 1.0) > _WEIGHT_TOL:
-            raise ConfigError("config.condition.weights", "must be nonnegative and sum to 1")
     condition = ConditionConfig(cweights)
+    _built("condition", condition.build)
 
     rw = _section(doc, "reward")
     rkind = _get(rw, "kind", "config.reward")
     if rkind not in ("neg_distance", "log_density", "plateau"):
         raise ConfigError("config.reward.kind", f"unknown kind {rkind!r}")
-    if rkind == "log_density" and "target" in rw:
-        raise ConfigError("config.reward.target", "not read by kind 'log_density'")
+    for name in rw:
+        if name not in {"neg_distance": ("kind", "target"), "log_density": ("kind",)}.get(rkind, _SECTIONS["reward"]):
+            raise ConfigError(f"config.reward.{name}", f"not read by kind {rkind!r}")
     rtarget: tuple[float, ...] = ()
     if rkind in ("neg_distance", "plateau"):
         rtarget = _vector(_get(rw, "target", "config.reward"), "config.reward.target")
-        if len(rtarget) != dim:
+        if len(rtarget) != mix.dim:
             raise ConfigError("config.reward.target", "dimension must match mixture means")
     inner = _number(rw.get("inner_radius", 1.0), "config.reward.inner_radius")
     outer = _number(rw.get("outer_radius", 2.0), "config.reward.outer_radius")
     plateau_value = _number(rw.get("plateau_value", 0.0), "config.reward.plateau_value")
     peak_value = _number(rw.get("peak_value", 1.0), "config.reward.peak_value")
-    if not 0.0 < inner < outer:
-        raise ConfigError("config.reward.inner_radius", "require 0 < inner_radius < outer_radius")
-    if not plateau_value < peak_value:
-        raise ConfigError("config.reward.plateau_value", "must be < peak_value")
     reward = RewardConfig(rkind, rtarget, inner, outer, plateau_value, peak_value)
+    _built("reward", lambda: reward.build(mix))
 
     gd = _section(doc, "guidance", {})
     omega = _number(gd.get("omega", 1.0), "config.guidance.omega")
     gmode = gd.get("mode", "cfg")
     if gmode not in ("cfg", "cfg++"):
         raise ConfigError("config.guidance.mode", f"unknown mode {gmode!r}")
-    if omega < 0:
-        raise ConfigError("config.guidance.omega", "must be >= 0")
+    guidance = _built("guidance", lambda: GuidanceConfig(omega, GuidanceMode(gmode)))
 
     st = _section(doc, "strategy", {})
     strategy = StrategyConfig(st.get("name", "ddim"), {k: v for k, v in st.items() if k != "name"})
@@ -290,7 +282,7 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     if "escape" in doc or rtarget:
         es = _section(doc, "escape", {"target": rtarget})
         etarget = _vector(_get(es, "target", "config.escape"), "config.escape.target")
-        if len(etarget) != dim:
+        if len(etarget) != mix.dim:
             raise ConfigError("config.escape.target", "dimension must match mixture means")
         radius = _number(es.get("radius", 1.0), "config.escape.radius")
         if radius <= 0:
@@ -298,7 +290,7 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
         escape = EscapeConfig(etarget, radius)
 
     cfg = ExperimentConfig(schedule, mixture, condition, reward, strategy, omega, gmode, seeds, escape)
-    _sampler(strategy, cfg.build_guidance(), infer_steps)
+    _sampler(strategy, guidance, infer_steps)
     return cfg
 
 
@@ -347,21 +339,21 @@ def _sampler(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> 
     name, params = strategy.name, dict(strategy.params)
     if name not in STRATEGY_NAMES:
         raise ConfigError(f"{path}.name", f"unknown strategy {name!r}")
+    ctrlz_keys = [f.name for f in fields(CtrlZParams) if f.name != "guidance"]
+    known = {"ctrlz": ctrlz_keys, "sop": ["n_candidates"], "zsampling": ["inversion_omega"]}.get(name, [])
+    for key in params:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}", f"not a parameter of strategy {name!r}")
     if name == "ctrlz":
-        try:
-            for key, kind in (("initiation", InitiationPolicy), ("exploration_guidance", ExplorationGuidance)):
-                if key in params:
-                    params[key] = kind(params[key])
-            ctrlz = CtrlZParams(guidance=guidance, **params)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(path, str(exc)) from None
+        for key, kind in (("initiation", InitiationPolicy), ("exploration_guidance", ExplorationGuidance)):
+            if key in params:
+                if params[key] not in [member.value for member in kind]:
+                    raise ConfigError(f"{path}.{key}", f"unknown value {params[key]!r}")
+                params[key] = kind(params[key])
+        ctrlz = _built("strategy", lambda: CtrlZParams(guidance=guidance, **params))
         if ctrlz.window > steps:
             raise ConfigError(f"{path}.window", f"{ctrlz.window} exceeds the {steps} sampling steps")
         return lambda x_T, cond, mix, sched, reward, seed: run_ctrlz(x_T, cond, mix, sched, reward, ctrlz, seed)
-    known = {"sop": "n_candidates", "zsampling": "inversion_omega"}.get(name)
-    for key in params:
-        if key != known:
-            raise ConfigError(f"{path}.{key}", f"not a parameter of strategy {name!r}")
     if name == "sop":
         n = _positive_int(params.get("n_candidates", 4), f"{path}.n_candidates")
         return lambda x_T, cond, mix, sched, reward, seed: run_sop(x_T, cond, mix, guidance, sched, reward, n, seed)
@@ -401,11 +393,16 @@ def _aggregate(
         escape_rate = sum(escaped) / len(escaped)
     initiation, depth = _histograms(results)
     finals_arr = np.array(finals)
+    with np.errstate(over="ignore", invalid="ignore"):  # rewards near the float range can overflow the statistics
+        mean = float(finals_arr.mean())
+        std = float(finals_arr.std(ddof=1)) if len(finals) > 1 else 0.0
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise NonFiniteError(f"{label}: mean or standard deviation of the final rewards is not finite")
     stats = AggregateStats(
         strategy=label,
         runs=len(results),
-        mean_final_reward=float(finals_arr.mean()),
-        std_final_reward=float(finals_arr.std(ddof=1)) if len(finals) > 1 else 0.0,
+        mean_final_reward=mean,
+        std_final_reward=std,
         escape_rate=escape_rate,
         mean_nfe_avg=float(np.mean([r.nfe_avg for r in results])),
         mean_reward_calls=float(np.mean([r.reward_calls for r in results])),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import GuidanceConfig, GuidanceMode, LatentState, Prediction, clean_estimate, guided_epsilon
+from .dynamics import ConfigError, GuidanceConfig, GuidanceMode, LatentState, Prediction, clean_estimate, guided_epsilon
 from .schedule import NoiseSchedule
 
 _WEIGHT_TOL = 1e-12
@@ -39,11 +39,11 @@ class GaussianMixture:
         if s.shape != w.shape:
             raise ValueError("scales must match weights in shape")
         if not np.all(w > 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
-            raise ValueError("weights must be positive and sum to 1")
-        if np.any(s <= 0.0) or np.any(s > _MAX_SCALE):
-            raise ValueError(f"scales must lie in (0, {_MAX_SCALE:g}]")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(s))):
-            raise ValueError("means and scales must be finite")
+            raise ConfigError("weights", "must be positive and sum to 1")
+        if not np.all((s > 0.0) & (s <= _MAX_SCALE)):
+            raise ConfigError("scales", f"must lie in (0, {_MAX_SCALE:g}]")
+        if not np.all(np.isfinite(mu)):
+            raise ConfigError("means", "must be finite")
         for arr in (w, mu, s):
             arr.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -70,7 +70,7 @@ class Condition:
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=np.float64).copy()
             if w.ndim != 1 or not np.all(w >= 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
-                raise ValueError("condition weights must be a nonnegative vector that sums to 1")
+                raise ConfigError("weights", "must be a nonnegative vector that sums to 1")
             w.setflags(write=False)
             object.__setattr__(self, "weights", w)
 

@@ -9,7 +9,7 @@ from typing import Union
 
 import numpy as np
 
-from .dynamics import NonFiniteError
+from .dynamics import ConfigError, NonFiniteError
 from .models import Condition, GaussianMixture
 
 
@@ -54,9 +54,9 @@ class Plateau:
         if t.ndim != 1 or not np.all(np.isfinite(t)):
             raise ValueError("target must be a finite vector")
         if not 0.0 < self.inner_radius < self.outer_radius:
-            raise ValueError("require 0 < inner_radius < outer_radius")
+            raise ConfigError("inner_radius", "require 0 < inner_radius < outer_radius")
         if not self.plateau_value < self.peak_value:
-            raise ValueError("require plateau_value < peak_value")
+            raise ConfigError("plateau_value", "must be < peak_value")
         object.__setattr__(self, "target", t)
 
 

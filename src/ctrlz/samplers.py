@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import GuidanceConfig, GuidanceMode, LatentState, Prediction, ddim_step, deterministic_invert, stochastic_invert
+from .dynamics import ConfigError, GuidanceConfig, GuidanceMode, LatentState, Prediction, ddim_step, deterministic_invert, stochastic_invert
 from .models import Condition, GaussianMixture, predict
 from .rewards import RewardSpec, score
 from .schedule import NoiseSchedule
@@ -63,15 +63,15 @@ class CtrlZParams:
 
     def __post_init__(self):
         if type(self.window) is not int or self.window < 0:
-            raise ValueError(f"window must be an integer >= 0, got {self.window!r}")
+            raise ConfigError("window", f"must be an integer >= 0, got {self.window!r}")
         if type(self.max_depth) is not int or self.max_depth < 1:
-            raise ValueError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
+            raise ConfigError("max_depth", f"must be an integer >= 1, got {self.max_depth!r}")
         if type(self.n_candidates) is not int or self.n_candidates < 1:
-            raise ValueError(f"n_candidates must be an integer >= 1, got {self.n_candidates!r}")
+            raise ConfigError("n_candidates", f"must be an integer >= 1, got {self.n_candidates!r}")
         if type(self.threshold) not in (int, float) or not math.isfinite(self.threshold):
-            raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
+            raise ConfigError("threshold", f"must be a finite number, got {self.threshold!r}")
         if type(self.random_p) not in (int, float) or not 0.0 <= self.random_p <= 1.0:
-            raise ValueError(f"random_p must be a number in [0, 1], got {self.random_p!r}")
+            raise ConfigError("random_p", f"must be a number in [0, 1], got {self.random_p!r}")
 
 
 @dataclass(frozen=True)

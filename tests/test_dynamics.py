@@ -200,12 +200,10 @@ def test_step_outputs_satisfy_update_identity(t, x, eps_a, eps_b):
 
 
 def test_guidance_config_validation():
-    with pytest.raises(ValueError):
-        GuidanceConfig(float("nan"), GuidanceMode.CFG)
-    with pytest.raises(ValueError):
-        GuidanceConfig(float("inf"), GuidanceMode.CFG)
-    with pytest.raises(ValueError):
-        GuidanceConfig(-0.5, GuidanceMode.CFG)
+    for omega in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ValueError) as err:
+            GuidanceConfig(omega, GuidanceMode.CFG)
+        assert err.value.field == "omega"
 
 
 def test_latent_state_rejects_non_finite():

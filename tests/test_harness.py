@@ -51,6 +51,9 @@ def base_doc(**overrides):
     return doc
 
 
+PLATEAU = {"kind": "plateau", "target": [3.0, 0.0], "inner_radius": 1.0, "outer_radius": 2.0}
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
@@ -104,6 +107,27 @@ def base_doc(**overrides):
             id="log-density-target",
         ),
         pytest.param(lambda d: d["seeds"].update(master_seed=2**64), "config.seeds.master_seed", id="seed-beyond-u64"),
+        # Range checks that the domain constructors make; the harness names the field.
+        pytest.param(lambda d: d["mixture"].update(scales=[0.7, 1e151]), "config.mixture.scales", id="scale-above-cap"),
+        pytest.param(lambda d: d["mixture"].update(scales=[0.0, 0.7]), "config.mixture.scales", id="scale-zero"),
+        pytest.param(lambda d: d["mixture"].update(weights=[1.0, 0.0]), "config.mixture.weights", id="weight-zero"),
+        pytest.param(
+            lambda d: d["condition"].update(weights=[1.5, -0.5]), "config.condition.weights", id="cond-weight-negative"
+        ),
+        pytest.param(lambda d: d["guidance"].update(omega=-1), "config.guidance.omega", id="omega-negative"),
+        pytest.param(
+            lambda d: d.update(reward={**PLATEAU, "inner_radius": 2.0, "outer_radius": 2.0}),
+            "config.reward.inner_radius",
+            id="plateau-radii",
+        ),
+        pytest.param(
+            lambda d: d.update(reward={**PLATEAU, "plateau_value": 1.0, "peak_value": 1.0}),
+            "config.reward.plateau_value",
+            id="plateau-values",
+        ),
+        pytest.param(
+            lambda d: d["reward"].update(inner_radius=1.0), "config.reward.inner_radius", id="neg-distance-inner-radius"
+        ),
     ],
 )
 def test_parse_config_names_offending_field(mutate, field):
@@ -316,12 +340,17 @@ def test_cli_unreadable_config_or_out_exits_2(tmp_path, capsys, config, out, fie
         ({"name": "ddim", "window": 40}, "config.strategy.window"),
         pytest.param({"name": "ctrlz", "threshold": "x"}, "threshold", id="threshold-str"),
         pytest.param({"name": "ctrlz", "random_p": "x"}, "random_p", id="random_p-str"),
+        pytest.param({"name": "ctrlz", "max_depth": 0}, "max_depth", id="max_depth-zero"),
+        pytest.param({"name": "ctrlz", "guidance": {"omega": 1.0}}, "guidance", id="guidance"),
     ],
 )
 def test_cli_rejects_bad_strategy_parameters(tmp_path, capsys, strategy, key):
     path = write_config(tmp_path, base_doc(strategy=strategy))
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    (param,) = set(strategy) - {"name"}
+    assert f"config error: config.strategy.{param}:" in err
 
 
 @pytest.mark.parametrize(
@@ -346,6 +375,17 @@ def test_cli_numeric_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_cli_overflowing_summary_statistics_exit_3(tmp_path, capsys):
+    # Each final reward is finite, but squaring their deviations overflows.
+    doc = base_doc(reward={**PLATEAU, "inner_radius": 3.5, "outer_radius": 7.0, "peak_value": 1e200})
+    doc["schedule"].update(train_steps=20, infer_steps=5)
+    doc["strategy"]["window"] = 4
+    path = write_config(tmp_path, doc)
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "numeric error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_cli_module_entry_point(tmp_path):

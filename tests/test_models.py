@@ -194,8 +194,9 @@ def test_condition_reweightings():
     with pytest.raises(ValueError):
         Condition(np.array([0.0, 0.0, 1.0])).effective_weights(mix)
     for bad in ([0.5, 0.6], [1.5, -0.5], [math.nan, math.nan], [[0.5, 0.5]]):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             Condition(np.array(bad))
+        assert err.value.field == "weights"
 
 
 def test_predict_guidance_contracts(two_mode_mix, balanced_cond, sched50):
@@ -217,13 +218,21 @@ def test_predict_level_zero_degenerates_gracefully(two_mode_mix, balanced_cond, 
 
 
 def test_mixture_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         GaussianMixture(np.array([0.5, 0.6]), np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
+    assert err.value.field == "weights"
+    with pytest.raises(ValueError) as err:
         GaussianMixture(np.array([1.0]), np.array([[0.0]]), np.array([0.0]))
-    with pytest.raises(ValueError):
+    assert err.value.field == "scales"
+    with pytest.raises(ValueError) as err:
         GaussianMixture(np.array([1.0]), np.array([[float("nan")]]), np.array([1.0]))
-    with pytest.raises(ValueError, match="scales"):
+    assert err.value.field == "means"
+    with pytest.raises(ValueError, match="scales") as err:
         GaussianMixture(np.array([0.5, 0.5]), np.array([[0.0], [1.0]]), np.array([1e200, 0.7]))
-    with pytest.raises(ValueError, match="weights"):
+    assert err.value.field == "scales"
+    with pytest.raises(ValueError, match="scales") as err:
+        GaussianMixture(np.array([1.0]), np.array([[0.0]]), np.array([float("nan")]))
+    assert err.value.field == "scales"
+    with pytest.raises(ValueError, match="weights") as err:
         GaussianMixture(np.array([float("nan")]), np.array([[0.0, 0.0]]), np.array([1.0]))
+    assert err.value.field == "weights"

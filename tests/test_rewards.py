@@ -103,12 +103,15 @@ def test_plateau_continuity_at_radii():
 
 
 def test_plateau_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         Plateau(np.zeros(1), 2.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    assert err.value.field == "inner_radius"
+    with pytest.raises(ValueError) as err:
         Plateau(np.zeros(1), 0.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    assert err.value.field == "inner_radius"
+    with pytest.raises(ValueError) as err:
         Plateau(np.zeros(1), 1.0, 2.0, 1.0, 1.0)
+    assert err.value.field == "plateau_value"
 
 
 def test_score_rejects_non_finite_points():

@@ -345,22 +345,20 @@ def test_ctrlz_rejects_bad_arguments(sched50, two_mode_mix, balanced_cond):
         run_sop(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, None, 4, seed=7)
     with pytest.raises(ValueError):
         run_sop(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, 0, seed=7)
-    with pytest.raises(ValueError):
-        CtrlZParams(window=-1)
-    with pytest.raises(ValueError):
-        CtrlZParams(n_candidates=0)
-    with pytest.raises(ValueError):
-        CtrlZParams(max_depth=0)
-    with pytest.raises(ValueError):
-        CtrlZParams(random_p=1.5)
+    for field, value in (("window", -1), ("n_candidates", 0), ("max_depth", 0), ("random_p", 1.5)):
+        with pytest.raises(ValueError) as err:
+            CtrlZParams(**{field: value})
+        assert err.value.field == field
     for field in ("window", "max_depth", "n_candidates"):
         for value in (2.5, "4", True):
-            with pytest.raises(ValueError, match=field):
+            with pytest.raises(ValueError, match=field) as err:
                 CtrlZParams(**{field: value})
+            assert err.value.field == field
     for field in ("threshold", "random_p"):
         for value in (True, "x"):
-            with pytest.raises(ValueError, match=field):
+            with pytest.raises(ValueError, match=field) as err:
                 CtrlZParams(**{field: value})
+            assert err.value.field == field
 
 
 @pytest.mark.parametrize("strategy", sorted(RUNNERS))
