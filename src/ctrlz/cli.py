@@ -59,7 +59,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError("out", f"cannot create output directory: {exc}") from None
 
         if args.command == "run":
-            outcomes = {cfg.strategy.name: run_experiment(cfg)}
+            outcomes = run_experiment(cfg)
         elif args.command == "sweep":
             outcomes = sweep(cfg, args.dmax, args.n)
         else:
@@ -82,7 +82,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         stats = outcome.stats
         escape = "-" if stats.escape_rate is None else f"{stats.escape_rate:.3f}"
         print(
-            f"{label:28s} {stats.runs:5d} {stats.mean_final_reward:12.4f} {escape:>7s} {stats.mean_nfe_avg:8.3f}"
+            f"{label:28s} {stats.runs:5d} {stats.mean_final_reward:12.4g} {escape:>7s} {stats.mean_nfe_avg:8.3f}"
         )
     print(f"results written to {args.out}")
     return EXIT_OK

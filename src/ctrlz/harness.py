@@ -204,6 +204,8 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     schedule = ScheduleConfig(train_steps, infer_steps, beta_start, beta_end)
     try:
         schedule.build()
+    except MemoryError as exc:
+        raise ConfigError("config.schedule.train_steps", f"too large to allocate: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"config.schedule.{'beta_end' if beta_end >= 1 else 'beta_start'}", str(exc)) from None
 
@@ -412,28 +414,31 @@ def _aggregate(
     return StrategyOutcome(stats, results, finals, escaped)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    strategy: StrategyConfig | None = None,
-    label: str | None = None,
-) -> StrategyOutcome:
-    """Execute the configured batch of independent runs and aggregate them.
+def run_experiment(cfg: ExperimentConfig, cells: Mapping[str, StrategyConfig] | None = None) -> dict[str, StrategyOutcome]:
+    """Run each labelled strategy cell over the configured batch of runs and aggregate it.
 
-    Per-run seeds derive from (master_seed, run_index) only, so repeated
-    invocations and different strategies replay identical initial noises.
+    ``cells`` defaults to the configured strategy under its own name. The
+    domain objects are built once and every cell is bound before the first
+    run. Per-run seeds derive from (master_seed, run_index) only, so every
+    cell and every repeated invocation replays identical initial noises.
     """
-    strat = strategy if strategy is not None else cfg.strategy
+    if cells is None:
+        cells = {cfg.strategy.name: cfg.strategy}
     sched = cfg.schedule.build()
     mix = cfg.mixture.build()
     cond = cfg.condition.build()
     reward = cfg.reward.build(mix)
-    run = _sampler(strat, cfg.build_guidance(), sched.num_steps)
-    results = []
-    for run_index in range(cfg.seeds.runs):
-        run_seed = mix_seed(cfg.seeds.master_seed, run_index)
-        x_T = LatentState(keyed_rng(run_seed, 0).standard_normal(mix.dim), sched.num_steps)
-        results.append(run(x_T, cond, mix, sched, reward, run_seed))
-    return _aggregate(label or strat.name, results, cfg, cond, reward)
+    guidance = cfg.build_guidance()
+    bound = {label: _sampler(strategy, guidance, sched.num_steps) for label, strategy in cells.items()}
+    run_seeds = [mix_seed(cfg.seeds.master_seed, run_index) for run_index in range(cfg.seeds.runs)]
+    outcomes = {}
+    for label, run in bound.items():
+        results = []
+        for seed in run_seeds:
+            x_T = LatentState(keyed_rng(seed, 0).standard_normal(mix.dim), sched.num_steps)
+            results.append(run(x_T, cond, mix, sched, reward, seed))
+        outcomes[label] = _aggregate(label, results, cfg, cond, reward)
+    return outcomes
 
 
 def compare(cfg: ExperimentConfig, strategies: Sequence[str]) -> dict[str, StrategyOutcome]:
@@ -446,9 +451,7 @@ def compare(cfg: ExperimentConfig, strategies: Sequence[str]) -> dict[str, Strat
     if len(set(strategies)) != len(strategies):
         raise ConfigError("strategies", f"a strategy is named twice in {list(strategies)}")
     chosen = {name: StrategyConfig(name, cfg.strategy.params if cfg.strategy.name == name else {}) for name in strategies}
-    for strategy in chosen.values():  # every strategy's parameters, before the first run
-        _sampler(strategy, cfg.build_guidance(), cfg.schedule.infer_steps)
-    return {name: run_experiment(cfg, strategy, label=name) for name, strategy in chosen.items()}
+    return run_experiment(cfg, chosen)
 
 
 def sweep(
@@ -466,15 +469,9 @@ def sweep(
             raise ConfigError("grid", f"repeated value in {list(values)}")
     if cfg.strategy.name != "ctrlz":
         raise ConfigError("config.strategy.name", "sweep requires the ctrlz strategy")
-    outcomes: dict[str, StrategyOutcome] = {}
-    for d in max_depths:
-        for n in candidate_counts:
-            params = dict(cfg.strategy.params)
-            params["max_depth"] = d
-            params["n_candidates"] = n
-            label = f"ctrlz[dmax={d},n={n}]"
-            outcomes[label] = run_experiment(cfg, StrategyConfig("ctrlz", params), label=label)
-    return outcomes
+    grid = [(d, n) for d in max_depths for n in candidate_counts]
+    cells = {f"ctrlz[dmax={d},n={n}]": {**cfg.strategy.params, "max_depth": d, "n_candidates": n} for d, n in grid}
+    return run_experiment(cfg, {label: StrategyConfig("ctrlz", params) for label, params in cells.items()})
 
 
 def write_outputs(out_dir: str | Path, outcomes: Mapping[str, StrategyOutcome]) -> None:

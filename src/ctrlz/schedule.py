@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ def build_linear_schedule(num_steps: int, beta_start: float, beta_end: float) ->
         raise ValueError("num_steps must be >= 1")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("require 0 < beta_start <= beta_end < 1")
+    if num_steps > sys.maxsize // 8:  # numpy cannot size this many float64 betas
+        raise MemoryError(f"{num_steps} float64 betas exceed the address space")
     betas = np.linspace(beta_start, beta_end, num_steps)
     return NoiseSchedule(num_steps, np.concatenate(([1.0], np.cumprod(1.0 - betas))))
 

@@ -103,14 +103,14 @@ def sampler_setup(sched50, two_mode_mix, balanced_cond):
 
 @pytest.fixture(scope="module")
 def ddim_outcome():
-    return run_experiment(landscape_config(NEG_DISTANCE), StrategyConfig("ddim", {}))
+    return run_experiment(landscape_config(NEG_DISTANCE), {"ddim": StrategyConfig("ddim", {})})["ddim"]
 
 
 @pytest.fixture(scope="module")
 def ctrlz_cells():
     cells = {}
     for dmax, n in [(1, 1), (1, 2), (1, 4), (2, 4), (3, 4)]:
-        cells[(dmax, n)] = run_experiment(landscape_config(NEG_DISTANCE, dmax=dmax, n=n))
+        cells[(dmax, n)] = run_experiment(landscape_config(NEG_DISTANCE, dmax=dmax, n=n))["ctrlz"]
     return cells
 
 
@@ -251,8 +251,10 @@ def test_a5_escape_rate_experiment(ddim_escape_oracle, ddim_outcome, ctrlz_cells
     ctrlz_escape = ctrlz_cells[(3, 4)].stats.escape_rate
 
     plateau_cfg = landscape_config(PLATEAU)
-    plateau_ctrlz = run_experiment(plateau_cfg).stats.escape_rate
-    plateau_sop = run_experiment(plateau_cfg, StrategyConfig("sop", {"n_candidates": 4})).stats.escape_rate
+    sop = StrategyConfig("sop", {"n_candidates": 4})
+    plateau = run_experiment(plateau_cfg, {"ctrlz": plateau_cfg.strategy, "sop": sop})
+    plateau_ctrlz = plateau["ctrlz"].stats.escape_rate
+    plateau_sop = plateau["sop"].stats.escape_rate
 
     ok = (
         abs(harness_ddim - oracle) <= 0.05
@@ -287,9 +289,9 @@ def test_a6_depth_width_scaling_trend(ctrlz_cells):
 
 def test_a7_initiation_policy_ordering(ddim_outcome):
     t0 = time.time()
-    always = run_experiment(landscape_config(NEG_DISTANCE, policy="always"))
-    random_half = run_experiment(landscape_config(NEG_DISTANCE, policy="random", random_p=0.5))
-    reward_narrow = run_experiment(landscape_config(NEG_DISTANCE, window=10))
+    always = run_experiment(landscape_config(NEG_DISTANCE, policy="always"))["ctrlz"]
+    random_half = run_experiment(landscape_config(NEG_DISTANCE, policy="random", random_p=0.5))["ctrlz"]
+    reward_narrow = run_experiment(landscape_config(NEG_DISTANCE, window=10))["ctrlz"]
 
     ordered = [
         ("always", always),

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -54,6 +55,14 @@ def base_doc(**overrides):
 PLATEAU = {"kind": "plateau", "target": [3.0, 0.0], "inner_radius": 1.0, "outer_radius": 2.0}
 
 
+def refuse_allocation(num_steps, beta_start, beta_end):
+    raise MemoryError(f"Unable to allocate {num_steps * 8 / 2**30:.0f} GiB for {num_steps} float64 betas")
+
+
+# The test swaps in refuse_allocation for this case, so no test allocates 745 GiB to see it fail.
+OUT_OF_MEMORY = lambda d: d["schedule"].update(train_steps=10**11)  # noqa: E731
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
@@ -94,6 +103,13 @@ PLATEAU = {"kind": "plateau", "target": [3.0, 0.0], "inner_radius": 1.0, "outer_
         ),
         pytest.param(lambda d: d["schedule"].update(beta_end=1.0), "config.schedule.beta_end", id="beta-end-at-one"),
         pytest.param(
+            lambda d: d["schedule"].update(train_steps=10**30), "config.schedule.train_steps", id="train-steps-beyond-numpy"
+        ),
+        pytest.param(
+            lambda d: d["schedule"].update(train_steps=2**63), "config.schedule.train_steps", id="train-steps-beyond-int64"
+        ),
+        pytest.param(OUT_OF_MEMORY, "config.schedule.train_steps", id="train-steps-out-of-memory"),
+        pytest.param(
             lambda d: d.update(condition={"kind": "unconditional", "weights": "junk"}),
             "config.condition.weights",
             id="unconditional-weights",
@@ -130,7 +146,9 @@ PLATEAU = {"kind": "plateau", "target": [3.0, 0.0], "inner_radius": 1.0, "outer_
         ),
     ],
 )
-def test_parse_config_names_offending_field(mutate, field):
+def test_parse_config_names_offending_field(mutate, field, monkeypatch):
+    if mutate is OUT_OF_MEMORY:
+        monkeypatch.setattr(ctrlz.harness, "build_linear_schedule", refuse_allocation)
     doc = base_doc()
     mutate(doc)
     with pytest.raises(ConfigError) as err:
@@ -149,8 +167,8 @@ def test_escape_defaults_to_unit_radius_around_reward_target():
 
 def test_run_experiment_is_deterministic():
     cfg = parse_config(base_doc())
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
+    a = run_experiment(cfg)["ctrlz"]
+    b = run_experiment(cfg)["ctrlz"]
     assert a.stats == b.stats
     assert a.results == b.results
 
@@ -158,9 +176,9 @@ def test_run_experiment_is_deterministic():
 def test_single_cell_sweep_matches_run_experiment():
     cfg = parse_config(base_doc())
     cell = sweep(cfg, [2], [2])["ctrlz[dmax=2,n=2]"]
-    direct = run_experiment(cfg)
-    assert cell.final_rewards == direct.final_rewards
-    assert cell.stats.mean_nfe_avg == direct.stats.mean_nfe_avg
+    direct = run_experiment(cfg)["ctrlz"]
+    assert cell.results == direct.results
+    assert dataclasses.replace(cell.stats, strategy="ctrlz") == direct.stats
 
 
 def test_sweep_requires_ctrlz_and_nonempty_grid():
@@ -202,6 +220,21 @@ def test_compare_checks_every_strategy_before_the_first_run(monkeypatch):
     assert calls == []
 
 
+def test_compare_builds_the_domain_once_and_binds_each_strategy_once(monkeypatch):
+    cfg = parse_config(base_doc(), runs=1)
+    calls = {"build_linear_schedule": 0, "_sampler": 0}
+    for name in calls:
+        original = getattr(ctrlz.harness, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ctrlz.harness, name, counted)
+    compare(cfg, STRATEGY_NAMES)
+    assert calls == {"build_linear_schedule": 1, "_sampler": len(STRATEGY_NAMES)}
+
+
 def test_compare_reproduces_reference_nfe_column():
     doc = base_doc()
     doc["schedule"]["infer_steps"] = 50
@@ -220,7 +253,7 @@ def test_compare_reproduces_reference_nfe_column():
         compare(cfg, ["ddim", "ddim", "sop"])
     assert err.value.field == "strategies"
     with pytest.raises(ConfigError) as err:
-        run_experiment(cfg, StrategyConfig("mcts", {}))
+        run_experiment(cfg, {"mcts": StrategyConfig("mcts", {})})
     assert err.value.field == "config.strategy.name"
 
 
@@ -260,7 +293,7 @@ def test_outputs_are_byte_stable_and_reconciled(tmp_path):
 
 def test_histograms_reconcile_with_event_log(tmp_path):
     cfg = parse_config(base_doc())
-    outcomes = {"ctrlz": run_experiment(cfg)}
+    outcomes = run_experiment(cfg)
     write_outputs(tmp_path, outcomes)
     events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
     by_step: dict[str, int] = {}
@@ -386,6 +419,18 @@ def test_cli_overflowing_summary_statistics_exit_3(tmp_path, capsys):
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert "numeric error" in capsys.readouterr().err
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_table_stays_narrow_for_large_rewards(tmp_path, capsys):
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "plateau_escape.json").read_text())
+    doc["reward"]["peak_value"] = 1e100
+    doc["schedule"]["infer_steps"] = 20
+    doc["strategy"]["window"] = 10
+    path = write_config(tmp_path, doc)
+    assert cli_main(["run", str(path), "--runs", "2", "--out", str(tmp_path / "out")]) == 0
+    table = capsys.readouterr().out.splitlines()[:-1]  # the last line names the output directory
+    assert len(table) == 2
+    assert all(len(line) < 80 for line in table), table
 
 
 def test_cli_module_entry_point(tmp_path):
