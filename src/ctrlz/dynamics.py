@@ -61,7 +61,7 @@ class LatentState:
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 1:
             raise ValueError("state vector must be one-dimensional")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NonFiniteError(f"non-finite state at level {self.t}")
         if self.t < 0:
             raise ValueError("noise level must be >= 0")

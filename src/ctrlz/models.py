@@ -8,6 +8,7 @@ while keeping every downstream quantity checkable in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,32 +86,68 @@ class Condition:
 UNCONDITIONAL = Condition()
 
 
+@functools.lru_cache(maxsize=2)
+def _level_table(mix: GaussianMixture, cond: Condition, sched: NoiseSchedule) -> tuple[np.ndarray, tuple]:
+    """The level-only terms of ``exact_epsilon`` for one (mixture, condition, schedule).
+
+    Returns ``(log w, rows)`` where ``rows[t]`` is ``(var_t, dim * log(2 pi
+    var_t), -sqrt(1 - ab_t))``, each computed with the expression
+    ``exact_epsilon`` would otherwise evaluate per call. Only K-vectors and
+    scalars are held: a (K, d) array per level would dwarf the mixture itself.
+    Keys are identities (the three types compare by identity). Two entries
+    cover one experiment, a condition and the unconditional branch; each
+    entry keeps its mixture alive until evicted.
+    """
+    w = cond.effective_weights(mix)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w)
+    scales_sq = mix.scales**2
+    rows = []
+    for ab in sched.alpha_bars:
+        var_t = ab * scales_sq + (1.0 - ab)
+        log_norm = mix.dim * np.log(2.0 * math.pi * var_t)
+        var_t.setflags(write=False)  # every caller shares the cached arrays
+        log_norm.setflags(write=False)
+        rows.append((var_t, log_norm, -math.sqrt(1.0 - ab)))
+    log_w.setflags(write=False)
+    return log_w, tuple(rows)
+
+
+def _geometry(x_t: LatentState, mix: GaussianMixture, sched: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """The condition-free part of ``exact_epsilon``: ``diff = sqrt(ab_t) * means - x``
+    and its squared row norms, shared by both guidance branches of a pass."""
+    if x_t.t > sched.num_steps:
+        raise ValueError(f"level {x_t.t} outside schedule")
+    if x_t.dim != mix.dim:
+        raise ValueError("state dimension does not match mixture")
+    diff = math.sqrt(sched.alpha_bars[x_t.t]) * mix.means - x_t.x
+    return diff, np.einsum("kd,kd->k", diff, diff)
+
+
 def exact_epsilon(
-    x_t: LatentState, cond: Condition, mix: GaussianMixture, sched: NoiseSchedule
+    x_t: LatentState,
+    cond: Condition,
+    mix: GaussianMixture,
+    sched: NoiseSchedule,
+    geometry: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Exact noise prediction for the conditioned mixture at the state's level.
 
     Computed as -sqrt(1 - ab_t) times the score of the noised conditional
     marginal, with responsibilities evaluated in log space so extreme logits
-    stay finite. Level 0 yields the zero vector.
+    stay finite. Level 0 yields the zero vector. ``geometry`` is
+    ``_geometry(x_t, mix, sched)`` when the caller already holds it; by
+    default it is computed here.
     """
-    if x_t.t > sched.num_steps:
-        raise ValueError(f"level {x_t.t} outside schedule")
-    if x_t.dim != mix.dim:
-        raise ValueError("state dimension does not match mixture")
-    ab = sched.alpha_bars[x_t.t]
-    w = cond.effective_weights(mix)
-    means_t = math.sqrt(ab) * mix.means
-    var_t = ab * mix.scales**2 + (1.0 - ab)
-    diff = means_t - x_t.x
-    sq = np.einsum("kd,kd->k", diff, diff)
+    diff, sq = _geometry(x_t, mix, sched) if geometry is None else geometry
+    log_w, rows = _level_table(mix, cond, sched)
+    var_t, log_norm, neg_noise_scale = rows[x_t.t]
     with np.errstate(divide="ignore", invalid="ignore"):
-        logits = np.log(w) - 0.5 * (x_t.dim * np.log(2.0 * math.pi * var_t) + sq / var_t)
+        logits = log_w - 0.5 * (log_norm + sq / var_t)
         logits -= logits.max()
         resp = np.exp(logits)
         resp /= resp.sum()
-    score = (resp / var_t) @ diff
-    return -math.sqrt(1.0 - ab) * score
+    return neg_noise_scale * ((resp / var_t) @ diff)
 
 
 def predict(
@@ -124,10 +161,12 @@ def predict(
 
     Both guidance branches are evaluated internally, matching a batched
     conditional/unconditional pipeline that still counts as a single pass.
-    CFG++ takes the unconditional branch as the re-noising term.
+    CFG++ takes the unconditional branch as the re-noising term. The
+    geometry does not depend on the condition, so the branches share it.
     """
-    eps_cond = exact_epsilon(x_t, cond, mix, sched)
-    eps_uncond = eps_cond if cond.weights is None else exact_epsilon(x_t, UNCONDITIONAL, mix, sched)
+    geometry = _geometry(x_t, mix, sched)
+    eps_cond = exact_epsilon(x_t, cond, mix, sched, geometry)
+    eps_uncond = eps_cond if cond.weights is None else exact_epsilon(x_t, UNCONDITIONAL, mix, sched, geometry)
     eps = guided_epsilon(eps_cond, eps_uncond, guidance.omega)
     if x_t.t == 0:
         x0_hat = x_t.x.copy()

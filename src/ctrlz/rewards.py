@@ -66,7 +66,7 @@ RewardSpec = Union[NegDistance, LogDensity, Plateau]
 def score(spec: RewardSpec, cond: Condition, x0_hat: np.ndarray) -> float:
     """Scalar score of a clean estimate; NonFiniteError if the score overflows."""
     x = np.asarray(x0_hat, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("clean estimate must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         value = _raw_score(spec, cond, x)
@@ -80,7 +80,8 @@ def _raw_score(spec: RewardSpec, cond: Condition, x: np.ndarray) -> float:
         return _mixture_log_density(spec.mix, cond, x)
     if x.shape != spec.target.shape:
         raise ValueError("point dimension does not match reward target")
-    dist = float(np.linalg.norm(x - spec.target))
+    d = x - spec.target
+    dist = math.sqrt(d.dot(d))  # np.linalg.norm's arithmetic for a 1-D float vector
     if isinstance(spec, NegDistance):
         return -dist
     if dist < spec.inner_radius:

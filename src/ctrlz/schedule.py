@@ -8,14 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Cumulative signal-retention products, one per noise level.
 
     ``alpha_bars`` has length ``num_steps + 1`` with the sentinel
     ``alpha_bars[0] == 1.0`` (fully clean), so level 0 means data and level
     ``num_steps`` means maximal noise. Instances are immutable and safe to
-    share across threads.
+    share across threads; they compare and hash by identity.
     """
 
     num_steps: int

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -25,5 +26,20 @@ def mix_seed(master_seed: int, run_index: int) -> int:
 
 
 def keyed_rng(*key: int) -> np.random.Generator:
-    """Independent generator for a structured nonnegative integer key."""
-    return np.random.default_rng(np.random.SeedSequence(key))
+    """Independent generator for a structured nonnegative integer key.
+
+    The same stream as ``np.random.default_rng(np.random.SeedSequence(key))``.
+    ``SeedSequence`` gets the key as the uint32 words its own coercion would
+    make (each int split little-endian into 32-bit words, 0 as one word),
+    which skips that coercion's per-element cost.
+    """
+    words = []
+    for k in key:
+        if k < 0:
+            raise ValueError(f"key entries must be nonnegative, got {k}")
+        words.append(k & _MASK32)
+        k >>= 32
+        while k:
+            words.append(k & _MASK32)
+            k >>= 32
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))

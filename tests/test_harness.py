@@ -231,8 +231,18 @@ def test_compare_builds_the_domain_once_and_binds_each_strategy_once(monkeypatch
             return original(*args)
 
         monkeypatch.setattr(ctrlz.harness, name, counted)
+    ctrlz.models._level_table.cache_clear()
     compare(cfg, STRATEGY_NAMES)
     assert calls == {"build_linear_schedule": 1, "_sampler": len(STRATEGY_NAMES)}
+    # One level table per (mixture, condition, schedule): the reweighted condition and the
+    # unconditional branch. Each holds K-vectors and scalars, never a (K, d) array.
+    tables = ctrlz.models._level_table.cache_info()
+    assert (tables.misses, tables.currsize) == (2, 2) and tables.hits > 0
+    mix = cfg.mixture.build()
+    log_w, rows = ctrlz.models._level_table(mix, cfg.condition.build(), cfg.schedule.build())
+    assert len(rows) == cfg.schedule.infer_steps + 1
+    for entry in (log_w, *(value for row in rows for value in row)):
+        assert np.shape(entry) in ((), (mix.n_components,))
 
 
 def test_compare_reproduces_reference_nfe_column():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ctrlz.models
 from ctrlz import (
     Condition,
     GaussianMixture,
@@ -12,9 +13,11 @@ from ctrlz import (
     GuidanceMode,
     LatentState,
     NoiseSchedule,
+    Prediction,
     build_linear_schedule,
     clean_estimate,
     exact_epsilon,
+    guided_epsilon,
     predict,
 )
 
@@ -236,3 +239,97 @@ def test_mixture_validation():
     with pytest.raises(ValueError, match="weights") as err:
         GaussianMixture(np.array([float("nan")]), np.array([[0.0, 0.0]]), np.array([1.0]))
     assert err.value.field == "weights"
+
+
+def reference_exact_epsilon(x_t, cond, mix, sched):
+    """``exact_epsilon`` as one self-contained pass, with no level table and no shared geometry."""
+    ab = sched.alpha_bars[x_t.t]
+    w = cond.effective_weights(mix)
+    means_t = math.sqrt(ab) * mix.means
+    var_t = ab * mix.scales**2 + (1.0 - ab)
+    diff = means_t - x_t.x
+    sq = np.einsum("kd,kd->k", diff, diff)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logits = np.log(w) - 0.5 * (x_t.dim * np.log(2.0 * math.pi * var_t) + sq / var_t)
+        logits -= logits.max()
+        resp = np.exp(logits)
+        resp /= resp.sum()
+    score = (resp / var_t) @ diff
+    return -math.sqrt(1.0 - ab) * score
+
+
+def reference_predict(x_t, cond, mix, guidance, sched):
+    """``predict`` with each guidance branch evaluated by ``reference_exact_epsilon``."""
+    eps_cond = reference_exact_epsilon(x_t, cond, mix, sched)
+    eps_uncond = eps_cond if cond.weights is None else reference_exact_epsilon(x_t, UNCOND, mix, sched)
+    eps = guided_epsilon(eps_cond, eps_uncond, guidance.omega)
+    x0_hat = x_t.x.copy() if x_t.t == 0 else clean_estimate(x_t, eps, sched)
+    eps_noise = eps_uncond if guidance.mode is GuidanceMode.CFG_PLUS_PLUS else eps
+    return Prediction(eps, x0_hat, eps_noise)
+
+
+def assert_same_bits(got, expected):
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))  # array_equal treats -0.0 == 0.0
+
+
+def assert_denoiser_matches_reference(mix, cond, x, sched, guidances):
+    """Every level from 0 to T: both branches directly, and ``predict`` under each guidance."""
+    for t in range(sched.num_steps + 1):
+        state = LatentState(x, t)
+        for c in (cond, UNCOND):
+            assert_same_bits(exact_epsilon(state, c, mix, sched), reference_exact_epsilon(state, c, mix, sched))
+        for guidance in guidances:
+            for c in (cond, UNCOND):
+                got, expected = predict(state, c, mix, guidance, sched), reference_predict(state, c, mix, guidance, sched)
+                for field in ("eps", "x0_hat", "eps_noise"):
+                    assert_same_bits(getattr(got, field), getattr(expected, field))
+
+
+@st.composite
+def denoiser_cases(draw):
+    k = draw(st.integers(min_value=1, max_value=8))
+    d = draw(st.integers(min_value=1, max_value=6))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    # Zero-weight condition components give log w = -inf; one positive entry keeps the vector valid.
+    cw = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=k, max_size=k)))
+    cw[draw(st.integers(0, k - 1))] = 1.0
+    # Wide means with tight scales drive the logits far apart (extreme responsibilities).
+    spread = draw(st.sampled_from([1.0, 400.0]))
+    means = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k * d, max_size=k * d))).reshape(k, d) * spread
+    scales = np.array(draw(st.lists(st.sampled_from([0.05, 0.3, 1.0, 2.5]), min_size=k, max_size=k)))
+    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))) * spread
+    omega = draw(st.sampled_from([0.0, 1.0, 2.0, 7.5]))
+    return GaussianMixture(w / w.sum(), means, scales), Condition(cw / cw.sum()), x, omega
+
+
+@settings(max_examples=40, deadline=None)
+@given(denoiser_cases())
+def test_denoiser_is_bit_identical_to_reference(case):
+    mix, cond, x, omega = case
+    guidances = [GuidanceConfig(omega, GuidanceMode.CFG), GuidanceConfig(omega, GuidanceMode.CFG_PLUS_PLUS)]
+    assert_denoiser_matches_reference(mix, cond, x, SCHED, guidances)
+
+
+def test_high_dim_denoiser_is_bit_identical_to_reference():
+    rng = np.random.default_rng(64)
+    counts = rng.integers(1, 10, 64)
+    cond_counts = rng.integers(0, 10, 64)
+    mix = GaussianMixture(counts / counts.sum(), rng.normal(0.0, 1.0, (64, 1024)), rng.uniform(0.5, 1.5, 64))
+    cond = Condition(cond_counts / cond_counts.sum())
+    sched = build_linear_schedule(8, 0.01, 0.3)
+    guidances = [GuidanceConfig(2.0, GuidanceMode.CFG), GuidanceConfig(2.0, GuidanceMode.CFG_PLUS_PLUS)]
+    assert_denoiser_matches_reference(mix, cond, rng.normal(0.0, 1.5, 1024), sched, guidances)
+
+
+def test_predict_calls_exact_epsilon_once_per_branch(monkeypatch, two_mode_mix, balanced_cond, sched50):
+    # The traced benchmark requires models.exact_epsilon calls == 2 x predict calls on a reweighted condition.
+    calls = []
+    original = ctrlz.models.exact_epsilon
+    monkeypatch.setattr(ctrlz.models, "exact_epsilon", lambda *args: calls.append(args[1]) or original(*args))
+    x = LatentState(np.array([0.4, -0.2]), 20)
+    predict(x, balanced_cond, two_mode_mix, GuidanceConfig(2.0, GuidanceMode.CFG), sched50)
+    assert calls == [balanced_cond, ctrlz.models.UNCONDITIONAL]
+    calls.clear()
+    predict(x, UNCOND, two_mode_mix, GuidanceConfig(2.0, GuidanceMode.CFG), sched50)
+    assert calls == [UNCOND]

@@ -135,3 +135,10 @@ def test_monotonicity_is_strict_for_positive_betas(sched):
     assert np.all(sched.alpha_bars[1:] < sched.alpha_bars[:-1])
     assert np.all(sched.alpha_bars > 0.0)
     assert np.all(sched.alpha_bars <= 1.0)
+
+
+def test_schedules_compare_and_hash_by_identity():
+    a = build_linear_schedule(10, 1e-3, 0.02)
+    b = build_linear_schedule(10, 1e-3, 0.02)
+    assert a == a and a != b and not (a == b)
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
