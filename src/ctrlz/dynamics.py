@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,19 @@ class ConfigError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
+def finite_number(value: object) -> bool:
+    """A real number, not a bool, that a float holds; unlike math.isfinite, no integer overflows this."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def parse_enum(obj: object, name: str, kind: type[enum.Enum]) -> None:
+    """Store frozen dataclass field ``name``, a member of ``kind`` or its value, as the member."""
+    try:
+        object.__setattr__(obj, name, kind(getattr(obj, name)))
+    except ValueError:
+        raise ConfigError(name, f"unknown value {getattr(obj, name)!r}") from None
+
+
 class GuidanceMode(enum.Enum):
     CFG = "cfg"
     CFG_PLUS_PLUS = "cfg++"
@@ -40,14 +54,16 @@ class GuidanceConfig:
     Under plain CFG the guided noise drives both the clean estimate and the
     re-noising term; under CFG++ the re-noising term reverts to the
     unconditional prediction (interpolation rather than extrapolation).
+    ``mode`` may be given as a member or as its value, such as ``"cfg++"``.
     """
 
     omega: float = 1.0
     mode: GuidanceMode = GuidanceMode.CFG
 
     def __post_init__(self):
-        if not 0.0 <= self.omega < math.inf:
+        if not finite_number(self.omega) or self.omega < 0:
             raise ConfigError("omega", f"must be a finite number >= 0, got {self.omega!r}")
+        parse_enum(self, "mode", GuidanceMode)
 
 
 @dataclass(frozen=True, eq=False)

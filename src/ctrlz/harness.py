@@ -8,7 +8,6 @@ import errno
 import json
 import os
 import shutil
-import sys
 import tempfile
 import time
 from collections import Counter
@@ -18,13 +17,11 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import ConfigError, GuidanceConfig, GuidanceMode, LatentState, NonFiniteError
+from .dynamics import ConfigError, GuidanceConfig, LatentState, NonFiniteError, finite_number
 from .models import Condition, GaussianMixture
 from .rewards import LogDensity, NegDistance, Plateau, RewardSpec, score
 from .samplers import (
     CtrlZParams,
-    ExplorationGuidance,
-    InitiationPolicy,
     RunResult,
     run_ctrlz,
     run_ddim,
@@ -81,15 +78,16 @@ def _positive_int(value: Any, path: str) -> int:
 
 
 def _number(value: Any, path: str) -> float:
-    # Unlike math.isfinite, this comparison does not overflow on a JSON integer beyond the float range.
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+    if not finite_number(value):
         raise ConfigError(path, f"expected finite number, got {value!r}")
     return float(value)
 
 
-def _vector(value: Any, path: str) -> tuple[float, ...]:
+def _vector(value: Any, path: str, dim: int | None = None) -> tuple[float, ...]:
     if not isinstance(value, Sequence) or isinstance(value, (str, bytes)) or not value:
         raise ConfigError(path, "expected a nonempty list of numbers")
+    if dim is not None and len(value) != dim:
+        raise ConfigError(path, f"expected {dim} numbers, the dimension of the mixture means")
     return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
@@ -176,7 +174,21 @@ class ExperimentConfig:
     escape: EscapeConfig | None
 
     def build_guidance(self) -> GuidanceConfig:
-        return GuidanceConfig(self.guidance_omega, GuidanceMode(self.guidance_mode))
+        return GuidanceConfig(self.guidance_omega, self.guidance_mode)
+
+    def build(self) -> tuple[NoiseSchedule, GaussianMixture, Condition, RewardSpec, GuidanceConfig]:
+        """The one path from a config to its domain objects; a range error names ``config.<section>.<argument>``."""
+        try:
+            sched = self.schedule.build()
+        except MemoryError as exc:
+            raise ConfigError("config.schedule.train_steps", f"too large to allocate: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"config.schedule.{'beta_end' if self.schedule.beta_end >= 1 else 'beta_start'}", str(exc)) from None
+        mix = _built("mixture", self.mixture.build)
+        cond = _built("condition", self.condition.build)
+        _built("condition", lambda: cond.effective_weights(mix))
+        reward = _built("reward", lambda: self.reward.build(mix))
+        return sched, mix, cond, reward, _built("guidance", self.build_guidance)
 
 
 def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: int | None = None) -> ExperimentConfig:
@@ -202,26 +214,15 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     beta_start = _number(sch.get("beta_start", 1e-4), "config.schedule.beta_start")
     beta_end = _number(sch.get("beta_end", 0.02), "config.schedule.beta_end")
     schedule = ScheduleConfig(train_steps, infer_steps, beta_start, beta_end)
-    try:
-        schedule.build()
-    except MemoryError as exc:
-        raise ConfigError("config.schedule.train_steps", f"too large to allocate: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"config.schedule.{'beta_end' if beta_end >= 1 else 'beta_start'}", str(exc)) from None
 
     mx = _section(doc, "mixture")
     weights = _vector(_get(mx, "weights", "config.mixture"), "config.mixture.weights")
     means_raw = _get(mx, "means", "config.mixture")
-    if not isinstance(means_raw, Sequence) or len(means_raw) != len(weights):
-        raise ConfigError("config.mixture.means", "must list one mean per weight")
-    means = tuple(_vector(m, f"config.mixture.means[{i}]") for i, m in enumerate(means_raw))
-    if len({len(m) for m in means}) != 1:
-        raise ConfigError("config.mixture.means", "all means must share one dimension")
-    scales = _vector(_get(mx, "scales", "config.mixture"), "config.mixture.scales")
-    if len(scales) != len(weights):
-        raise ConfigError("config.mixture.scales", "must list one scale per weight")
-    mixture = MixtureConfig(weights, means, scales)
-    mix = _built("mixture", mixture.build)
+    if not isinstance(means_raw, Sequence) or not means_raw:
+        raise ConfigError("config.mixture.means", "expected a nonempty list of vectors")
+    dim = len(_vector(means_raw[0], "config.mixture.means[0]"))
+    means = tuple(_vector(m, f"config.mixture.means[{i}]", dim) for i, m in enumerate(means_raw))
+    mixture = MixtureConfig(weights, means, _vector(_get(mx, "scales", "config.mixture"), "config.mixture.scales"))
 
     cn = _section(doc, "condition", {})
     ckind = cn.get("kind", "unconditional")
@@ -238,10 +239,7 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
         cweights = tuple(float(k == comp) for k in range(len(weights)))
     if ckind == "reweight":
         cweights = _vector(_get(cn, "weights", "config.condition"), "config.condition.weights")
-        if len(cweights) != len(weights):
-            raise ConfigError("config.condition.weights", "length must match mixture components")
     condition = ConditionConfig(cweights)
-    _built("condition", condition.build)
 
     rw = _section(doc, "reward")
     rkind = _get(rw, "kind", "config.reward")
@@ -252,22 +250,15 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
             raise ConfigError(f"config.reward.{name}", f"not read by kind {rkind!r}")
     rtarget: tuple[float, ...] = ()
     if rkind in ("neg_distance", "plateau"):
-        rtarget = _vector(_get(rw, "target", "config.reward"), "config.reward.target")
-        if len(rtarget) != mix.dim:
-            raise ConfigError("config.reward.target", "dimension must match mixture means")
+        rtarget = _vector(_get(rw, "target", "config.reward"), "config.reward.target", dim)
     inner = _number(rw.get("inner_radius", 1.0), "config.reward.inner_radius")
     outer = _number(rw.get("outer_radius", 2.0), "config.reward.outer_radius")
     plateau_value = _number(rw.get("plateau_value", 0.0), "config.reward.plateau_value")
     peak_value = _number(rw.get("peak_value", 1.0), "config.reward.peak_value")
     reward = RewardConfig(rkind, rtarget, inner, outer, plateau_value, peak_value)
-    _built("reward", lambda: reward.build(mix))
 
     gd = _section(doc, "guidance", {})
     omega = _number(gd.get("omega", 1.0), "config.guidance.omega")
-    gmode = gd.get("mode", "cfg")
-    if gmode not in ("cfg", "cfg++"):
-        raise ConfigError("config.guidance.mode", f"unknown mode {gmode!r}")
-    guidance = _built("guidance", lambda: GuidanceConfig(omega, GuidanceMode(gmode)))
 
     st = _section(doc, "strategy", {})
     strategy = StrategyConfig(st.get("name", "ddim"), {k: v for k, v in st.items() if k != "name"})
@@ -283,16 +274,14 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     escape: EscapeConfig | None = None
     if "escape" in doc or rtarget:
         es = _section(doc, "escape", {"target": rtarget})
-        etarget = _vector(_get(es, "target", "config.escape"), "config.escape.target")
-        if len(etarget) != mix.dim:
-            raise ConfigError("config.escape.target", "dimension must match mixture means")
+        etarget = _vector(_get(es, "target", "config.escape"), "config.escape.target", dim)
         radius = _number(es.get("radius", 1.0), "config.escape.radius")
         if radius <= 0:
             raise ConfigError("config.escape.radius", "must be > 0")
         escape = EscapeConfig(etarget, radius)
 
-    cfg = ExperimentConfig(schedule, mixture, condition, reward, strategy, omega, gmode, seeds, escape)
-    _sampler(strategy, guidance, infer_steps)
+    cfg = ExperimentConfig(schedule, mixture, condition, reward, strategy, omega, gd.get("mode", "cfg"), seeds, escape)
+    _sampler(strategy, cfg.build()[-1], infer_steps)
     return cfg
 
 
@@ -338,7 +327,7 @@ def _sampler(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> 
     takes effect.
     """
     path = "config.strategy"
-    name, params = strategy.name, dict(strategy.params)
+    name, params = strategy.name, strategy.params
     if name not in STRATEGY_NAMES:
         raise ConfigError(f"{path}.name", f"unknown strategy {name!r}")
     ctrlz_keys = [f.name for f in fields(CtrlZParams) if f.name != "guidance"]
@@ -347,11 +336,6 @@ def _sampler(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> 
         if key not in known:
             raise ConfigError(f"{path}.{key}", f"not a parameter of strategy {name!r}")
     if name == "ctrlz":
-        for key, kind in (("initiation", InitiationPolicy), ("exploration_guidance", ExplorationGuidance)):
-            if key in params:
-                if params[key] not in [member.value for member in kind]:
-                    raise ConfigError(f"{path}.{key}", f"unknown value {params[key]!r}")
-                params[key] = kind(params[key])
         ctrlz = _built("strategy", lambda: CtrlZParams(guidance=guidance, **params))
         if ctrlz.window > steps:
             raise ConfigError(f"{path}.window", f"{ctrlz.window} exceeds the {steps} sampling steps")
@@ -363,8 +347,7 @@ def _sampler(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> 
         omega = _number(params.get("inversion_omega", 0.0), f"{path}.inversion_omega")
         if omega < 0:
             raise ConfigError(f"{path}.inversion_omega", "must be >= 0")
-        inv = GuidanceConfig(omega, GuidanceMode.CFG)
-        return lambda x_T, cond, mix, sched, reward, seed: run_zsampling(x_T, cond, mix, guidance, sched, inv, seed)
+        return lambda x_T, cond, mix, sched, reward, seed: run_zsampling(x_T, cond, mix, guidance, sched, omega, seed)
     if name == "resampling":
         return lambda x_T, cond, mix, sched, reward, seed: run_resampling(x_T, cond, mix, guidance, sched, seed)
     return lambda x_T, cond, mix, sched, reward, seed: run_ddim(x_T, cond, mix, guidance, sched, seed)
@@ -424,11 +407,7 @@ def run_experiment(cfg: ExperimentConfig, cells: Mapping[str, StrategyConfig] | 
     """
     if cells is None:
         cells = {cfg.strategy.name: cfg.strategy}
-    sched = cfg.schedule.build()
-    mix = cfg.mixture.build()
-    cond = cfg.condition.build()
-    reward = cfg.reward.build(mix)
-    guidance = cfg.build_guidance()
+    sched, mix, cond, reward, guidance = cfg.build()
     bound = {label: _sampler(strategy, guidance, sched.num_steps) for label, strategy in cells.items()}
     run_seeds = [mix_seed(cfg.seeds.master_seed, run_index) for run_index in range(cfg.seeds.runs)]
     outcomes = {}

@@ -36,9 +36,9 @@ class GaussianMixture:
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
         if mu.ndim != 2 or mu.shape[0] != w.size:
-            raise ValueError("means must be a (components, dim) array matching weights")
+            raise ConfigError("means", "must list one mean vector per weight")
         if s.shape != w.shape:
-            raise ValueError("scales must match weights in shape")
+            raise ConfigError("scales", "must list one scale per weight")
         if not np.all(w > 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
             raise ConfigError("weights", "must be positive and sum to 1")
         if not np.all((s > 0.0) & (s <= _MAX_SCALE)):
@@ -79,7 +79,7 @@ class Condition:
         if self.weights is None:
             return mix.weights
         if self.weights.size != mix.n_components:
-            raise ValueError("condition weights length does not match mixture")
+            raise ConfigError("weights", "length must match mixture components")
         return self.weights
 
 

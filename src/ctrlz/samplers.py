@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import ConfigError, GuidanceConfig, GuidanceMode, LatentState, Prediction, ddim_step, deterministic_invert, stochastic_invert
+from .dynamics import ConfigError, GuidanceConfig, GuidanceMode, LatentState, Prediction, finite_number, parse_enum
+from .dynamics import ddim_step, deterministic_invert, stochastic_invert
 from .models import Condition, GaussianMixture, predict
 from .rewards import RewardSpec, score
 from .schedule import NoiseSchedule
@@ -49,7 +50,7 @@ class CtrlZParams:
     re-noised continuations per depth.
     ``random_p`` only applies under the RANDOM initiation policy.
     ``exploration_guidance`` may switch candidate denoising back to plain CFG
-    while default steps keep the configured mode.
+    while default steps keep the configured mode. Enum fields take a member or its value.
     """
 
     window: int = 40
@@ -68,10 +69,12 @@ class CtrlZParams:
             raise ConfigError("max_depth", f"must be an integer >= 1, got {self.max_depth!r}")
         if type(self.n_candidates) is not int or self.n_candidates < 1:
             raise ConfigError("n_candidates", f"must be an integer >= 1, got {self.n_candidates!r}")
-        if type(self.threshold) not in (int, float) or not math.isfinite(self.threshold):
+        if not finite_number(self.threshold):
             raise ConfigError("threshold", f"must be a finite number, got {self.threshold!r}")
         if type(self.random_p) not in (int, float) or not 0.0 <= self.random_p <= 1.0:
             raise ConfigError("random_p", f"must be a number in [0, 1], got {self.random_p!r}")
+        parse_enum(self, "initiation", InitiationPolicy)
+        parse_enum(self, "exploration_guidance", ExplorationGuidance)
 
 
 @dataclass(frozen=True)
@@ -194,16 +197,18 @@ def run_zsampling(
     mix: GaussianMixture,
     guidance: GuidanceConfig,
     sched: NoiseSchedule,
-    inversion_guidance: GuidanceConfig = GuidanceConfig(0.0, GuidanceMode.CFG),
+    inversion_omega: float = 0.0,
     seed: int = 0,
 ) -> RunResult:
     """Per step: denoise, deterministically re-invert along a weakly guided
     prediction, then denoise again; fully deterministic, three passes per step.
 
     The search with an empty window and a one-level deterministic zigzag after
-    every step. The inversion prediction defaults to unconditional (scale 0)."""
+    every step, inverting along the guided noise estimate at scale ``inversion_omega`` (0: unconditional)."""
+    inversion = GuidanceConfig(inversion_omega)
+
     def zigzag(run: _Run, state: LatentState, t: int) -> LatentState:
-        return deterministic_invert(state, run.predict(state, inversion_guidance).eps, sched)
+        return deterministic_invert(state, run.predict(state, inversion).eps, sched)
 
     return _search(x_T, cond, mix, sched, None, CtrlZParams(window=0, guidance=guidance), seed, zigzag)
 

@@ -18,6 +18,7 @@ from ctrlz import (
     guided_epsilon,
     stochastic_invert,
 )
+from ctrlz.dynamics import ConfigError
 
 SCHED = build_linear_schedule(20, 0.01, 0.2)
 
@@ -204,6 +205,14 @@ def test_guidance_config_validation():
         with pytest.raises(ValueError) as err:
             GuidanceConfig(omega, GuidanceMode.CFG)
         assert err.value.field == "omega"
+
+
+def test_guidance_omega_is_a_real_number():
+    for omega in ("2", True, 10**400):
+        with pytest.raises(ConfigError) as err:
+            GuidanceConfig(omega)
+        assert err.value.field == "omega"
+    assert GuidanceConfig(2).omega == 2
 
 
 def test_latent_state_rejects_non_finite():

@@ -245,6 +245,16 @@ def test_compare_builds_the_domain_once_and_binds_each_strategy_once(monkeypatch
         assert np.shape(entry) in ((), (mix.n_components,))
 
 
+def test_parse_config_and_run_experiment_each_build_the_domain_once(monkeypatch):
+    calls = []
+    build = ctrlz.harness.ExperimentConfig.build
+    monkeypatch.setattr(ctrlz.harness.ExperimentConfig, "build", lambda cfg: calls.append(cfg) or build(cfg))
+    cfg = parse_config(base_doc(), runs=1)
+    assert calls == [cfg]
+    run_experiment(cfg)
+    assert calls == [cfg, cfg]
+
+
 def test_compare_reproduces_reference_nfe_column():
     doc = base_doc()
     doc["schedule"]["infer_steps"] = 50
@@ -581,6 +591,8 @@ def fuzz_edits(draw):
 @example("run", "neg_distance", ("escape", "target", [1e308, 1e308]))
 # An integer that no float can hold.
 @example("run", "neg_distance", ("guidance", "omega", 10**400))
+# An integer that no float can hold, where the strategy parameters are checked.
+@example("run", "neg_distance", ("strategy", "threshold", 10**400))
 # A kind that cannot be a dict key.
 @example("run", "log_density", ("condition", "kind", []))
 def test_cli_exits_0_2_or_3_after_any_one_edit(command, reward, edit):

@@ -20,6 +20,7 @@ from ctrlz import (
     guided_epsilon,
     predict,
 )
+from ctrlz.dynamics import ConfigError
 
 SCHED = build_linear_schedule(30, 0.005, 0.1)
 UNCOND = Condition()
@@ -211,6 +212,36 @@ def test_predict_guidance_contracts(two_mode_mix, balanced_cond, sched50):
     pred_pp = predict(x, balanced_cond, two_mode_mix, GuidanceConfig(4.0, GuidanceMode.CFG_PLUS_PLUS), sched50)
     assert np.array_equal(pred_pp.eps_noise, exact_epsilon(x, UNCOND, two_mode_mix, sched50))
     assert np.allclose(pred_u.eps, exact_epsilon(x, UNCOND, two_mode_mix, sched50), rtol=1e-14)
+
+
+def test_predict_takes_the_guidance_mode_by_value(two_mode_mix, balanced_cond, sched50):
+    x = LatentState(np.array([0.4, -0.2]), 20)
+    by_value = predict(x, balanced_cond, two_mode_mix, GuidanceConfig(2.0, "cfg++"), sched50)
+    by_member = predict(x, balanced_cond, two_mode_mix, GuidanceConfig(2.0, GuidanceMode.CFG_PLUS_PLUS), sched50)
+    assert np.array_equal(by_value.eps_noise, by_member.eps_noise)
+    assert not np.array_equal(by_value.eps_noise, by_value.eps)
+
+
+@pytest.mark.parametrize(
+    "means,scales,field",
+    [
+        ([[0.0], [1.0], [2.0]], [1.0, 1.0], "means"),
+        ([[0.0]], [1.0, 1.0], "means"),
+        ([[0.0], [1.0]], [1.0], "scales"),
+        ([[0.0], [1.0]], [1.0, 1.0, 1.0], "scales"),
+    ],
+)
+def test_mixture_counts_must_match_the_weights(means, scales, field):
+    with pytest.raises(ConfigError) as err:
+        GaussianMixture(np.array([0.5, 0.5]), np.array(means), np.array(scales))
+    assert err.value.field == field
+
+
+def test_condition_length_must_match_the_mixture(two_mode_mix):
+    for weights in ([1.0], [0.2, 0.3, 0.5]):
+        with pytest.raises(ConfigError) as err:
+            Condition(np.array(weights)).effective_weights(two_mode_mix)
+        assert err.value.field == "weights"
 
 
 def test_predict_level_zero_degenerates_gracefully(two_mode_mix, balanced_cond, sched50):

@@ -29,6 +29,7 @@ from ctrlz import (
     run_zsampling,
     stochastic_invert,
 )
+from ctrlz.dynamics import ConfigError
 
 CFG = GuidanceConfig(1.0, GuidanceMode.CFG)
 REWARD = NegDistance(np.array([3.0, 0.0]))
@@ -88,12 +89,10 @@ def test_zsampling_nfe_and_determinism(sched50, two_mode_mix, balanced_cond):
 
 def test_zsampling_inversion_guidance_changes_output(sched50, two_mode_mix, balanced_cond):
     weak = run_zsampling(
-        start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50,
-        inversion_guidance=GuidanceConfig(0.0, GuidanceMode.CFG),
+        start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, inversion_omega=0.0,
     )
     strong = run_zsampling(
-        start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50,
-        inversion_guidance=GuidanceConfig(1.0, GuidanceMode.CFG),
+        start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, inversion_omega=1.0,
     )
     assert not np.array_equal(weak.x0, strong.x0)
 
@@ -143,7 +142,7 @@ def test_zsampling_matches_reference_loop(omega, guidance, cond, sched50, two_mo
     inversion = GuidanceConfig(omega, GuidanceMode.CFG)
     for seed in (0, 3, 11):
         x_T = start_state(sched50, seed)
-        res = run_zsampling(x_T, cond, two_mode_mix, guidance, sched50, inversion, seed=seed)
+        res = run_zsampling(x_T, cond, two_mode_mix, guidance, sched50, omega, seed=seed)
         assert res == reference_zsampling(x_T, cond, two_mode_mix, guidance, sched50, inversion, seed)
 
 
@@ -359,6 +358,46 @@ def test_ctrlz_rejects_bad_arguments(sched50, two_mode_mix, balanced_cond):
             with pytest.raises(ValueError, match=field) as err:
                 CtrlZParams(**{field: value})
             assert err.value.field == field
+
+
+def test_ctrlz_params_take_enum_values(sched50, two_mode_mix, balanced_cond):
+    g_pp = GuidanceConfig(2.5, GuidanceMode.CFG_PLUS_PLUS)
+    pairs = [
+        ({"initiation": "always"}, {"initiation": InitiationPolicy.ALWAYS}),
+        (
+            {"guidance": g_pp, "exploration_guidance": "cfg_in_exploration"},
+            {"guidance": g_pp, "exploration_guidance": ExplorationGuidance.CFG_IN_EXPLORATION},
+        ),
+    ]
+    x_T = start_state(sched50)
+    for by_value, by_member in pairs:
+        a, b = default_params(**by_value), default_params(**by_member)
+        assert a == b
+        assert run_ctrlz(x_T, balanced_cond, two_mode_mix, sched50, REWARD, a, seed=7) == run_ctrlz(
+            x_T, balanced_cond, two_mode_mix, sched50, REWARD, b, seed=7
+        )
+
+
+ENUM_FIELDS = {
+    "mode": lambda value: GuidanceConfig(2.0, value),
+    "initiation": lambda value: CtrlZParams(initiation=value),
+    "exploration_guidance": lambda value: CtrlZParams(exploration_guidance=value),
+}
+
+
+@pytest.mark.parametrize("value", ["pag", ["cfg"], None], ids=["str", "list", "none"])
+@pytest.mark.parametrize("field", sorted(ENUM_FIELDS))
+def test_enum_fields_reject_other_values(field, value):
+    with pytest.raises(ConfigError, match=f"^{field}: unknown value") as err:
+        ENUM_FIELDS[field](value)
+    assert err.value.field == field
+
+
+def test_ctrlz_threshold_beyond_the_float_range_is_a_config_error():
+    for threshold in (10**400, -(10**400)):
+        with pytest.raises(ConfigError) as err:
+            CtrlZParams(threshold=threshold)
+        assert err.value.field == "threshold"
 
 
 @pytest.mark.parametrize("strategy", sorted(RUNNERS))
