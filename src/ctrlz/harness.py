@@ -330,16 +330,16 @@ def _sampler(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> 
     name, params = strategy.name, strategy.params
     if name not in STRATEGY_NAMES:
         raise ConfigError(f"{path}.name", f"unknown strategy {name!r}")
-    ctrlz_keys = [f.name for f in fields(CtrlZParams) if f.name != "guidance"]
+    ctrlz_keys = [f.name for f in fields(CtrlZParams)]
     known = {"ctrlz": ctrlz_keys, "sop": ["n_candidates"], "zsampling": ["inversion_omega"]}.get(name, [])
     for key in params:
         if key not in known:
             raise ConfigError(f"{path}.{key}", f"not a parameter of strategy {name!r}")
     if name == "ctrlz":
-        ctrlz = _built("strategy", lambda: CtrlZParams(guidance=guidance, **params))
+        ctrlz = _built("strategy", lambda: CtrlZParams(**params))
         if ctrlz.window > steps:
             raise ConfigError(f"{path}.window", f"{ctrlz.window} exceeds the {steps} sampling steps")
-        return lambda x_T, cond, mix, sched, reward, seed: run_ctrlz(x_T, cond, mix, sched, reward, ctrlz, seed)
+        return lambda x_T, cond, mix, sched, reward, seed: run_ctrlz(x_T, cond, mix, guidance, sched, reward, ctrlz, seed)
     if name == "sop":
         n = _positive_int(params.get("n_candidates", 4), f"{path}.n_candidates")
         return lambda x_T, cond, mix, sched, reward, seed: run_sop(x_T, cond, mix, guidance, sched, reward, n, seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -50,7 +50,7 @@ class CtrlZParams:
     re-noised continuations per depth.
     ``random_p`` only applies under the RANDOM initiation policy.
     ``exploration_guidance`` may switch candidate denoising back to plain CFG
-    while default steps keep the configured mode. Enum fields take a member or its value.
+    while default steps keep the run's guidance mode. Enum fields take a member or its value.
     """
 
     window: int = 40
@@ -59,22 +59,22 @@ class CtrlZParams:
     n_candidates: int = 4
     initiation: InitiationPolicy = InitiationPolicy.REWARD_BASED
     random_p: float = 0.5
-    guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
     exploration_guidance: ExplorationGuidance = ExplorationGuidance.SAME
 
     def __post_init__(self):
-        if type(self.window) is not int or self.window < 0:
-            raise ConfigError("window", f"must be an integer >= 0, got {self.window!r}")
-        if type(self.max_depth) is not int or self.max_depth < 1:
-            raise ConfigError("max_depth", f"must be an integer >= 1, got {self.max_depth!r}")
-        if type(self.n_candidates) is not int or self.n_candidates < 1:
-            raise ConfigError("n_candidates", f"must be an integer >= 1, got {self.n_candidates!r}")
+        for name, least in (("window", 0), ("max_depth", 1), ("n_candidates", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ConfigError(name, f"must be an integer >= {least}, got {value!r}")
         if not finite_number(self.threshold):
             raise ConfigError("threshold", f"must be a finite number, got {self.threshold!r}")
-        if type(self.random_p) not in (int, float) or not 0.0 <= self.random_p <= 1.0:
+        if not finite_number(self.random_p) or not 0.0 <= self.random_p <= 1.0:
             raise ConfigError("random_p", f"must be a number in [0, 1], got {self.random_p!r}")
         parse_enum(self, "initiation", InitiationPolicy)
         parse_enum(self, "exploration_guidance", ExplorationGuidance)
+
+
+_NO_SEARCH = CtrlZParams(window=0)  # ddim, resampling and zsampling: no step is eligible to explore
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def run_ddim(
 ) -> RunResult:
     """Plain deterministic sampling, one forward pass per step: the search
     with an empty exploration window, which never reads a reward."""
-    return _search(x_T, cond, mix, sched, None, CtrlZParams(window=0, guidance=guidance), seed)
+    return _search(x_T, cond, mix, guidance, sched, None, _NO_SEARCH, seed)
 
 
 def run_resampling(
@@ -188,7 +188,7 @@ def run_resampling(
     def zigzag(run: _Run, state: LatentState, t: int) -> LatentState:
         return stochastic_invert(state, 1, keyed_rng(seed, t, 0, 0).standard_normal(state.dim), sched)
 
-    return _search(x_T, cond, mix, sched, None, CtrlZParams(window=0, guidance=guidance), seed, zigzag)
+    return _search(x_T, cond, mix, guidance, sched, None, _NO_SEARCH, seed, zigzag)
 
 
 def run_zsampling(
@@ -210,13 +210,14 @@ def run_zsampling(
     def zigzag(run: _Run, state: LatentState, t: int) -> LatentState:
         return deterministic_invert(state, run.predict(state, inversion).eps, sched)
 
-    return _search(x_T, cond, mix, sched, None, CtrlZParams(window=0, guidance=guidance), seed, zigzag)
+    return _search(x_T, cond, mix, guidance, sched, None, _NO_SEARCH, seed, zigzag)
 
 
 def run_ctrlz(
     x_T: LatentState,
     cond: Condition,
     mix: GaussianMixture,
+    guidance: GuidanceConfig,
     sched: NoiseSchedule,
     reward: RewardSpec,
     params: CtrlZParams,
@@ -237,7 +238,7 @@ def run_ctrlz(
     step; RANDOM does so with probability ``random_p`` and otherwise accepts
     the step without a reward call, like a plain step.
     """
-    return _search(x_T, cond, mix, sched, reward, params, seed)
+    return _search(x_T, cond, mix, guidance, sched, reward, params, seed)
 
 
 def run_sop(
@@ -259,19 +260,16 @@ def run_sop(
     distance is clamped to 0 at the top step.
     """
     params = CtrlZParams(
-        window=sched.num_steps,
-        max_depth=1,
-        n_candidates=n_candidates,
-        initiation=InitiationPolicy.ALWAYS,
-        guidance=guidance,
+        window=sched.num_steps, max_depth=1, n_candidates=n_candidates, initiation=InitiationPolicy.ALWAYS
     )
-    return replace(_search(x_T, cond, mix, sched, reward, params, seed), events=[])
+    return replace(_search(x_T, cond, mix, guidance, sched, reward, params, seed), events=[])
 
 
 def _search(
     x_T: LatentState,
     cond: Condition,
     mix: GaussianMixture,
+    guidance: GuidanceConfig,
     sched: NoiseSchedule,
     reward: RewardSpec | None,
     params: CtrlZParams,
@@ -286,18 +284,18 @@ def _search(
     T = sched.num_steps
     if params.window > T:
         raise ValueError(f"window {params.window} exceeds total steps {T}")
-    explore_guidance = params.guidance
+    explore_guidance = guidance
     if params.exploration_guidance is ExplorationGuidance.CFG_IN_EXPLORATION:
-        explore_guidance = GuidanceConfig(params.guidance.omega, GuidanceMode.CFG)
+        explore_guidance = GuidanceConfig(guidance.omega, GuidanceMode.CFG)
 
     trace: list[float] = []
     events: list[ExplorationEvent] = []
     r_prev = -math.inf
     state = x_T
     for t in range(T, 0, -1):
-        next_state, x0_hat = run.advance(state, params.guidance)
+        next_state, x0_hat = run.advance(state, guidance)
         if zigzag is not None:
-            next_state, x0_hat = run.advance(zigzag(run, next_state, t), params.guidance)
+            next_state, x0_hat = run.advance(zigzag(run, next_state, t), guidance)
         if t > T - params.window and (
             params.initiation is not InitiationPolicy.RANDOM or keyed_rng(seed, t, 0, 0).uniform() < params.random_p
         ):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,21 +12,19 @@ import numpy as np
 class NoiseSchedule:
     """Cumulative signal-retention products, one per noise level.
 
-    ``alpha_bars`` has length ``num_steps + 1`` with the sentinel
-    ``alpha_bars[0] == 1.0`` (fully clean), so level 0 means data and level
-    ``num_steps`` means maximal noise. Instances are immutable and safe to
-    share across threads; they compare and hash by identity.
+    ``alpha_bars[0] == 1.0`` is the clean sentinel and ``num_steps``, derived,
+    is the last level: level 0 means data and level ``num_steps`` maximal
+    noise. Instances are immutable and safe to share across threads; they
+    compare and hash by identity.
     """
 
-    num_steps: int
     alpha_bars: np.ndarray
+    num_steps: int = field(init=False)
 
     def __post_init__(self):
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
         abars = np.asarray(self.alpha_bars, dtype=np.float64).copy()
-        if abars.shape != (self.num_steps + 1,):
-            raise ValueError(f"alpha_bars must have shape ({self.num_steps + 1},), got {abars.shape}")
+        if abars.ndim != 1 or abars.size < 2:
+            raise ValueError(f"alpha_bars must be a vector of at least two levels, got shape {abars.shape}")
         if abars[0] != 1.0:
             raise ValueError("alpha_bars[0] must be exactly 1.0")
         if not np.all(np.isfinite(abars)):
@@ -37,6 +35,7 @@ class NoiseSchedule:
             raise ValueError("alpha_bars must be nonincreasing")
         abars.setflags(write=False)
         object.__setattr__(self, "alpha_bars", abars)
+        object.__setattr__(self, "num_steps", abars.size - 1)
 
 
 def build_linear_schedule(num_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
@@ -48,7 +47,7 @@ def build_linear_schedule(num_steps: int, beta_start: float, beta_end: float) ->
     if num_steps > sys.maxsize // 8:  # numpy cannot size this many float64 betas
         raise MemoryError(f"{num_steps} float64 betas exceed the address space")
     betas = np.linspace(beta_start, beta_end, num_steps)
-    return NoiseSchedule(num_steps, np.concatenate(([1.0], np.cumprod(1.0 - betas))))
+    return NoiseSchedule(np.concatenate(([1.0], np.cumprod(1.0 - betas))))
 
 
 def subsample(parent: NoiseSchedule, steps: int) -> NoiseSchedule:
@@ -64,4 +63,4 @@ def subsample(parent: NoiseSchedule, steps: int) -> NoiseSchedule:
     indices = np.round(np.linspace(parent.num_steps / steps, parent.num_steps, steps)).astype(int)
     if indices[-1] != parent.num_steps or np.any(np.diff(indices) <= 0):
         raise AssertionError("subsample index selection is not strictly increasing")
-    return NoiseSchedule(steps, np.concatenate(([1.0], parent.alpha_bars[indices])))
+    return NoiseSchedule(np.concatenate(([1.0], parent.alpha_bars[indices])))

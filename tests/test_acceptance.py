@@ -168,9 +168,9 @@ def test_a2_ctrlz_deterministic_nfe_identity(sampler_setup):
     sched, mix, cond, x_T, reward = sampler_setup
     params = CtrlZParams(
         window=50, threshold=0.0, max_depth=1, n_candidates=1,
-        initiation=InitiationPolicy.ALWAYS, guidance=CFG,
+        initiation=InitiationPolicy.ALWAYS,
     )
-    res = run_ctrlz(x_T, cond, mix, sched, reward, params, seed=MASTER_SEED)
+    res = run_ctrlz(x_T, cond, mix, CFG, sched, reward, params, seed=MASTER_SEED)
     ok = res.nfe_total == 149 and res.nfe_avg == pytest.approx(2.98)
     report("A2", "always-on shallow search costs exactly 149 passes", ok, time.time() - t0, 1.0)
 
@@ -323,22 +323,22 @@ def test_a8_algorithm_invariant_suite(sampler_setup):
     sched, mix, cond, _, reward = sampler_setup
     ok = True
     events_seen = 0
-    full = CtrlZParams(window=50, guidance=CFG)
+    full = CtrlZParams(window=50)
     starts, alone = {}, {}
     for seed in range(12):
         x_T = starts[seed] = LatentState(keyed_rng(seed, 0).standard_normal(2), 50)
-        params = CtrlZParams(window=0, guidance=CFG)
-        res_zero = run_ctrlz(x_T, cond, mix, sched, reward, params, seed=seed)
+        params = CtrlZParams(window=0)
+        res_zero = run_ctrlz(x_T, cond, mix, CFG, sched, reward, params, seed=seed)
         ref = run_ddim(x_T, cond, mix, CFG, sched, seed=seed)
         ok = ok and res_zero == ref
 
-        res = alone[seed] = run_ctrlz(x_T, cond, mix, sched, reward, full, seed=seed)
+        res = alone[seed] = run_ctrlz(x_T, cond, mix, CFG, sched, reward, full, seed=seed)
         ok = ok and all(ev.t != 50 for ev in res.events)
         ok = ok and all(ev.accepted_score >= ev.default_score for ev in res.events)
         events_seen += len(res.events)
 
     for seed in reversed(range(12)):
-        ok = ok and run_ctrlz(starts[seed], cond, mix, sched, reward, full, seed=seed) == alone[seed]
+        ok = ok and run_ctrlz(starts[seed], cond, mix, CFG, sched, reward, full, seed=seed) == alone[seed]
     ok = ok and events_seen > 0
     report("A8", "window, dominance, first-step and run-order invariants hold", ok, time.time() - t0, 30.0)
 

@@ -46,7 +46,7 @@ def test_clean_estimate_rejects_data_level():
 
 
 def test_ddim_step_degenerate_when_products_equal():
-    sched = NoiseSchedule(2, np.array([1.0, 0.8, 0.8]))
+    sched = NoiseSchedule(np.array([1.0, 0.8, 0.8]))
     x = LatentState(np.array([0.3, -1.1]), 2)
     eps = np.array([0.5, 0.25])
     nxt = ddim_step(x, clean_estimate(x, eps, sched), eps, sched)
@@ -64,7 +64,7 @@ def test_ddim_final_step_returns_clean_estimate():
 
 def test_ddim_step_scalar_oracle():
     # ab_t = 0.25, ab_{t-1} = 0.64, x = 1.0, eps = 0.5, evaluated directly
-    sched = NoiseSchedule(2, np.array([1.0, 0.64, 0.25]))
+    sched = NoiseSchedule(np.array([1.0, 0.64, 0.25]))
     x = LatentState(np.array([1.0]), 2)
     x0_hat = clean_estimate(x, np.array([0.5]), sched)
     nxt = ddim_step(x, x0_hat, np.array([0.5]), sched)
@@ -146,7 +146,7 @@ def test_deterministic_invert_zero_eps_is_rescale():
 
 
 def test_deterministic_invert_scalar_oracle():
-    sched = NoiseSchedule(2, np.array([1.0, 0.64, 0.25]))
+    sched = NoiseSchedule(np.array([1.0, 0.64, 0.25]))
     out = deterministic_invert(LatentState(np.array([1.0]), 1), np.array([0.5]), sched)
     scale = math.sqrt(0.25 / 0.64)
     expected = scale * 1.0 + (math.sqrt(0.75) - scale * math.sqrt(0.36)) * 0.5

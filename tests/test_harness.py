@@ -487,39 +487,47 @@ def test_failed_output_write_keeps_the_previous_set(tmp_path, capsys, monkeypatc
     assert {p.name: p.is_file() and p.read_bytes() for p in out.iterdir()} == before
 
 
-# Runs in a child, so that rebinding the package's functions cannot leak into other tests.
+# Runs in a child, so that rebinding the package's functions cannot leak into other tests. The
+# shipped config has the benchmark's T, window, depth and widths, so bench/run.py's own checks apply.
 TRACED_COMPARE = """
 import json, sys
 from pathlib import Path
 from ctrlz import harness
 from tracer import Tracer, layer_times
+from run import check_unit, trace_failures
+from workloads import WORKLOADS
 tracer = Tracer()
 tracer.install()
-doc = json.loads(Path(sys.argv[1]).read_text())
-doc["schedule"]["infer_steps"] = 10
-doc["strategy"]["window"] = 8
-harness.compare(harness.parse_config(doc, runs=3), harness.STRATEGY_NAMES)
-tracer.save(sys.argv[2])
-stats = layer_times(sys.argv[2])
-print(json.dumps({name: stats[f"samplers.run_{name}"]["calls"] for name in harness.STRATEGY_NAMES}))
+config, out = sys.argv[1], Path(sys.argv[2])
+harness.write_outputs(out, harness.compare(harness.load_config(config, runs=2), harness.STRATEGY_NAMES))
+tracer.save(out / "spans.npz")
+stats = layer_times(out / "spans.npz")
+unit = check_unit(out, WORKLOADS["compare_two_mode"], 2)
+print(json.dumps({
+    "runs": {name: stats[f"samplers.run_{name}"]["calls"] for name in harness.STRATEGY_NAMES},
+    "failures": unit["failures"] + trace_failures(stats, [unit]),
+    "failed_runs": unit["failed_runs"],
+}))
 """
 
 
 def test_benchmark_tracer_finds_every_site(tmp_path):
-    """bench/tracer.py rebinds the package's functions by name; a refactor must keep every site it needs."""
+    """bench/tracer.py rebinds the package's functions by name; a refactor must keep every site it needs,
+    and the traced calls must meet bench/run.py's exact NFE, reward-call, noise-draw and run-count checks."""
     root = Path(__file__).resolve().parents[1]
     src = str(Path(ctrlz.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, str(root / "bench")))}
     config = str(root / "configs" / "two_mode_escape.json")
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", TRACED_COMPARE, config, str(tmp_path / "spans.npz")],
+        [sys.executable, "-W", "error", "-c", TRACED_COMPARE, config, str(tmp_path / "out")],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {name: 3 for name in STRATEGY_NAMES}
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {"runs": {name: 2 for name in STRATEGY_NAMES}, "failures": [], "failed_runs": 0}, proc.stdout
 
 
 # Every key of the config schema, so that an edit can reach the optional ones too.

@@ -66,7 +66,7 @@ def test_marginal_params_full_noise_limit():
 
 def test_marginal_params_half_noise_hand_case():
     # ab = 0.5, mu = (2, 0), s = 1: variance 0.5 * 1 + 0.5 = 1 exactly
-    sched = NoiseSchedule(1, np.array([1.0, 0.5]))
+    sched = NoiseSchedule(np.array([1.0, 0.5]))
     mix = GaussianMixture(np.array([1.0]), np.array([[2.0, 0.0]]), np.array([1.0]))
     mean, var = marginal_component_params(mix, 0, 1, sched)
     assert np.allclose(mean, [math.sqrt(0.5) * 2.0, 0.0], rtol=1e-15)

@@ -71,7 +71,7 @@ def test_resampling_nfe_and_determinism(sched50, two_mode_mix, balanced_cond):
 def test_resampling_degenerates_to_ddim_when_ratios_are_one():
     # Constant alpha-bars make every inversion coefficient vanish, so the
     # injected noise never enters and both strategies walk the same trajectory.
-    sched = NoiseSchedule(5, np.ones(6))
+    sched = NoiseSchedule(np.ones(6))
     mix = GaussianMixture(np.array([1.0]), np.array([[0.5, 0.5]]), np.array([1.0]))
     cond = Condition()
     x_T = LatentState(np.array([0.3, -0.8]), 5)
@@ -178,7 +178,7 @@ def test_sop_selected_score_dominates_default(sched50, two_mode_mix, balanced_co
 def default_params(**overrides):
     base = dict(
         window=40, threshold=0.0, max_depth=3, n_candidates=4,
-        initiation=InitiationPolicy.REWARD_BASED, guidance=CFG,
+        initiation=InitiationPolicy.REWARD_BASED,
     )
     base.update(overrides)
     return CtrlZParams(**base)
@@ -189,7 +189,7 @@ RUNNERS = {
     "resampling": lambda x_T, cond, mix, sched: run_resampling(x_T, cond, mix, CFG, sched, seed=3),
     "zsampling": lambda x_T, cond, mix, sched: run_zsampling(x_T, cond, mix, CFG, sched, seed=3),
     "sop": lambda x_T, cond, mix, sched: run_sop(x_T, cond, mix, CFG, sched, REWARD, 4, seed=3),
-    "ctrlz": lambda x_T, cond, mix, sched: run_ctrlz(x_T, cond, mix, sched, REWARD, default_params(), seed=3),
+    "ctrlz": lambda x_T, cond, mix, sched: run_ctrlz(x_T, cond, mix, CFG, sched, REWARD, default_params(), seed=3),
 }
 
 
@@ -215,7 +215,7 @@ def test_reported_counts_equal_calls(strategy, sched50, two_mode_mix, balanced_c
 
 def test_ctrlz_zero_window_is_bitwise_ddim(sched50, two_mode_mix, balanced_cond):
     x_T = start_state(sched50)
-    res = run_ctrlz(x_T, balanced_cond, two_mode_mix, sched50, REWARD, default_params(window=0), seed=7)
+    res = run_ctrlz(x_T, balanced_cond, two_mode_mix, CFG, sched50, REWARD, default_params(window=0), seed=7)
     ref = run_ddim(x_T, balanced_cond, two_mode_mix, CFG, sched50, seed=7)
     assert res == ref
     assert res.nfe_avg == 1.0 and res.reward_calls == 0
@@ -223,7 +223,7 @@ def test_ctrlz_zero_window_is_bitwise_ddim(sched50, two_mode_mix, balanced_cond)
 
 def test_ctrlz_always_shallow_nfe_identity(sched50, two_mode_mix, balanced_cond):
     params = default_params(window=50, max_depth=1, n_candidates=1, initiation=InitiationPolicy.ALWAYS)
-    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=7)
+    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=7)
     assert res.nfe_total == 149
     assert res.nfe_avg == pytest.approx(2.98)
     assert len(res.events) == 50
@@ -231,13 +231,13 @@ def test_ctrlz_always_shallow_nfe_identity(sched50, two_mode_mix, balanced_cond)
 
 def test_ctrlz_first_step_never_triggers_reward_based(sched50, two_mode_mix, balanced_cond):
     params = default_params(window=50)
-    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=7)
+    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=7)
     assert all(ev.t != 50 for ev in res.events)
 
 
 def test_ctrlz_window_semantics_and_reward_accounting(sched50, two_mode_mix, balanced_cond):
     params = default_params(window=12)
-    res = run_ctrlz(start_state(sched50, 5), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=7)
+    res = run_ctrlz(start_state(sched50, 5), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=7)
     assert res.events, "this start should explore inside the window"
     assert all(ev.t > 50 - 12 for ev in res.events)
     candidate_calls = sum(ev.candidates_evaluated for ev in res.events)
@@ -247,7 +247,7 @@ def test_ctrlz_window_semantics_and_reward_accounting(sched50, two_mode_mix, bal
 
 def test_ctrlz_nfe_matches_closed_form(sched50, two_mode_mix, balanced_cond):
     params = default_params()
-    res = run_ctrlz(start_state(sched50, 3), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=11)
+    res = run_ctrlz(start_state(sched50, 3), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=11)
     assert {ev.terminated_by for ev in res.events} == set(TerminatedBy)
     extra = 0
     for ev in res.events:
@@ -262,7 +262,7 @@ def test_ctrlz_event_invariants(sched50, two_mode_mix, balanced_cond):
     events = []
     for seed in range(10):
         res = run_ctrlz(
-            start_state(sched50, seed), balanced_cond, two_mode_mix,
+            start_state(sched50, seed), balanced_cond, two_mode_mix, CFG,
             sched50, REWARD, params, seed=seed,
         )
         events.extend(res.events)
@@ -278,7 +278,7 @@ def test_ctrlz_event_invariants(sched50, two_mode_mix, balanced_cond):
 
 def test_ctrlz_unreachable_threshold_always_hits_depth_cap(sched50, two_mode_mix, balanced_cond):
     params = default_params(window=10, threshold=1e6, max_depth=2, n_candidates=2)
-    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=7)
+    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=7)
     # First eligible step accepts against -inf; every later one explores to the cap.
     assert len(res.events) == 9
     for ev in res.events:
@@ -291,7 +291,7 @@ def test_ctrlz_treats_a_tie_as_a_stall(sched50, two_mode_mix, balanced_cond):
     # is exactly 0: every eligible step after the first ties the accepted score.
     flat = Plateau(np.array([100.0, 0.0]), 1.0, 2.0, 0.0, 1.0)
     params = default_params(window=10, max_depth=2, n_candidates=2)
-    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, sched50, flat, params, seed=7)
+    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, flat, params, seed=7)
     assert res.reward_trace == [0.0] * 10
     assert len(res.events) == 9
     for ev in res.events:
@@ -301,26 +301,26 @@ def test_ctrlz_treats_a_tie_as_a_stall(sched50, two_mode_mix, balanced_cond):
 
 def test_ctrlz_run_order_does_not_change_results(sched50, two_mode_mix, balanced_cond):
     params = default_params()
-    alone = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=21)
-    run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=22)
-    after = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD, params, seed=21)
+    alone = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=21)
+    run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=22)
+    after = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=21)
     assert after == alone
 
 
 def test_ctrlz_random_policy_edge_probabilities(sched50, two_mode_mix, balanced_cond):
     x_T = start_state(sched50)
     never = run_ctrlz(
-        x_T, balanced_cond, two_mode_mix, sched50, REWARD,
+        x_T, balanced_cond, two_mode_mix, CFG, sched50, REWARD,
         default_params(initiation=InitiationPolicy.RANDOM, random_p=0.0), seed=7,
     )
     ref = run_ddim(x_T, balanced_cond, two_mode_mix, CFG, sched50, seed=7)
     assert never == ref
     surely = run_ctrlz(
-        x_T, balanced_cond, two_mode_mix, sched50, REWARD,
+        x_T, balanced_cond, two_mode_mix, CFG, sched50, REWARD,
         default_params(initiation=InitiationPolicy.RANDOM, random_p=1.0), seed=7,
     )
     always = run_ctrlz(
-        x_T, balanced_cond, two_mode_mix, sched50, REWARD,
+        x_T, balanced_cond, two_mode_mix, CFG, sched50, REWARD,
         default_params(initiation=InitiationPolicy.ALWAYS), seed=7,
     )
     # Identical search behavior; only the recorded trigger cause differs.
@@ -334,10 +334,10 @@ def test_ctrlz_random_policy_edge_probabilities(sched50, two_mode_mix, balanced_
 
 def test_ctrlz_rejects_bad_arguments(sched50, two_mode_mix, balanced_cond):
     with pytest.raises(ValueError):
-        run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, sched50, None, default_params(), seed=7)
+        run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, None, default_params(), seed=7)
     with pytest.raises(ValueError):
         run_ctrlz(
-            start_state(sched50), balanced_cond, two_mode_mix, sched50, REWARD,
+            start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD,
             default_params(window=51), seed=7,
         )
     with pytest.raises(ValueError):
@@ -360,21 +360,35 @@ def test_ctrlz_rejects_bad_arguments(sched50, two_mode_mix, balanced_cond):
             assert err.value.field == field
 
 
+def test_ctrlz_params_numeric_knobs_follow_one_rule():
+    # threshold and random_p share finite_number; the integer knobs share the config's integer test.
+    assert CtrlZParams(random_p=np.float64(0.5)) == CtrlZParams(random_p=0.5)
+    assert CtrlZParams(threshold=np.float64(0.5)) == CtrlZParams(threshold=0.5)
+    for field in ("window", "max_depth", "n_candidates"):
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer"):
+            CtrlZParams(**{field: np.int64(2)})
+    with pytest.raises(ConfigError, match="^random_p: must be a number in"):
+        CtrlZParams(random_p=math.nan)
+    with pytest.raises(TypeError):
+        CtrlZParams(guidance=CFG)
+
+
 def test_ctrlz_params_take_enum_values(sched50, two_mode_mix, balanced_cond):
     g_pp = GuidanceConfig(2.5, GuidanceMode.CFG_PLUS_PLUS)
     pairs = [
-        ({"initiation": "always"}, {"initiation": InitiationPolicy.ALWAYS}),
+        (CFG, {"initiation": "always"}, {"initiation": InitiationPolicy.ALWAYS}),
         (
-            {"guidance": g_pp, "exploration_guidance": "cfg_in_exploration"},
-            {"guidance": g_pp, "exploration_guidance": ExplorationGuidance.CFG_IN_EXPLORATION},
+            g_pp,
+            {"exploration_guidance": "cfg_in_exploration"},
+            {"exploration_guidance": ExplorationGuidance.CFG_IN_EXPLORATION},
         ),
     ]
     x_T = start_state(sched50)
-    for by_value, by_member in pairs:
+    for guidance, by_value, by_member in pairs:
         a, b = default_params(**by_value), default_params(**by_member)
         assert a == b
-        assert run_ctrlz(x_T, balanced_cond, two_mode_mix, sched50, REWARD, a, seed=7) == run_ctrlz(
-            x_T, balanced_cond, two_mode_mix, sched50, REWARD, b, seed=7
+        assert run_ctrlz(x_T, balanced_cond, two_mode_mix, guidance, sched50, REWARD, a, seed=7) == run_ctrlz(
+            x_T, balanced_cond, two_mode_mix, guidance, sched50, REWARD, b, seed=7
         )
 
 
@@ -420,11 +434,11 @@ def test_ctrlz_partial_cfg_mode_differs_from_same(sched50, two_mode_mix, balance
     x_T = start_state(sched50)
     g_pp = GuidanceConfig(2.5, GuidanceMode.CFG_PLUS_PLUS)
     same = run_ctrlz(
-        x_T, balanced_cond, two_mode_mix, sched50, REWARD,
-        default_params(guidance=g_pp), seed=7,
+        x_T, balanced_cond, two_mode_mix, g_pp, sched50, REWARD,
+        default_params(), seed=7,
     )
     hybrid = run_ctrlz(
-        x_T, balanced_cond, two_mode_mix, sched50, REWARD,
-        default_params(guidance=g_pp, exploration_guidance=ExplorationGuidance.CFG_IN_EXPLORATION), seed=7,
+        x_T, balanced_cond, two_mode_mix, g_pp, sched50, REWARD,
+        default_params(exploration_guidance=ExplorationGuidance.CFG_IN_EXPLORATION), seed=7,
     )
     assert not np.array_equal(same.x0, hybrid.x0)

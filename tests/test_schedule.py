@@ -49,9 +49,20 @@ def test_linear_schedule_rejects_bad_arguments(args):
 
 def test_schedule_rejects_inconsistent_products():
     with pytest.raises(ValueError):
-        NoiseSchedule(2, np.array([1.0, 0.5, 0.9]))
+        NoiseSchedule(np.array([1.0, 0.5, 0.9]))
     with pytest.raises(ValueError):
-        NoiseSchedule(1, np.array([0.5, 0.45]))
+        NoiseSchedule(np.array([0.5, 0.45]))
+    with pytest.raises(ValueError, match="at least two levels"):
+        NoiseSchedule(np.array([1.0]))
+    with pytest.raises(ValueError, match="at least two levels"):
+        NoiseSchedule(np.array([[1.0, 0.5]]))
+
+
+def test_schedule_length_is_derived_from_its_products():
+    assert NoiseSchedule(np.array([1.0, 0.5, 0.25])).num_steps == 2
+    assert build_linear_schedule(7, 1e-3, 0.02).num_steps == 7
+    with pytest.raises(TypeError):
+        NoiseSchedule(2, np.array([1.0, 0.5, 0.25]))
 
 
 def test_subsample_identity_is_bit_exact():
