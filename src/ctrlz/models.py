@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ConfigError, GuidanceConfig, GuidanceMode, LatentState, Prediction, clean_estimate, guided_epsilon
+from .dynamics import ConfigError, GuidanceConfig, GuidanceMode, LatentState, NonFiniteError, Prediction
+from .dynamics import clean_estimate, guided_epsilon
 from .schedule import NoiseSchedule
 
 _WEIGHT_TOL = 1e-12
+_MIN_SCALE = 1e-150  # the denoiser takes log(2 * pi * scale**2), so scale**2 must not underflow to 0
 _MAX_SCALE = 1e150  # the denoiser forms 2 * pi * scale**2, which must stay a finite float
 
 
@@ -41,8 +43,8 @@ class GaussianMixture:
             raise ConfigError("scales", "must list one scale per weight")
         if not np.all(w > 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
             raise ConfigError("weights", "must be positive and sum to 1")
-        if not np.all((s > 0.0) & (s <= _MAX_SCALE)):
-            raise ConfigError("scales", f"must lie in (0, {_MAX_SCALE:g}]")
+        if not np.all((s >= _MIN_SCALE) & (s <= _MAX_SCALE)):
+            raise ConfigError("scales", f"must lie in [{_MIN_SCALE:g}, {_MAX_SCALE:g}]")
         if not np.all(np.isfinite(mu)):
             raise ConfigError("means", "must be finite")
         for arr in (w, mu, s):
@@ -114,13 +116,15 @@ def _level_table(mix: GaussianMixture, cond: Condition, sched: NoiseSchedule) ->
 
 
 def _geometry(x_t: LatentState, mix: GaussianMixture, sched: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """The condition-free part of ``exact_epsilon``: ``diff = sqrt(ab_t) * means - x``
-    and its squared row norms, shared by both guidance branches of a pass."""
+    """The condition-free part of ``exact_epsilon``: ``diff = sqrt(ab_t) * means - x``,
+    built in place so that a pass allocates one (K, d) array, and its squared row
+    norms, shared by both guidance branches of a pass."""
     if x_t.t > sched.num_steps:
         raise ValueError(f"level {x_t.t} outside schedule")
     if x_t.dim != mix.dim:
         raise ValueError("state dimension does not match mixture")
-    diff = math.sqrt(sched.alpha_bars[x_t.t]) * mix.means - x_t.x
+    diff = math.sqrt(sched.alpha_bars[x_t.t]) * mix.means
+    diff -= x_t.x
     return diff, np.einsum("kd,kd->k", diff, diff)
 
 
@@ -135,18 +139,22 @@ def exact_epsilon(
 
     Computed as -sqrt(1 - ab_t) times the score of the noised conditional
     marginal, with responsibilities evaluated in log space so extreme logits
-    stay finite. Level 0 yields the zero vector. ``geometry`` is
+    stay finite. Level 0 yields the zero vector. Raises ``NonFiniteError``
+    when no component has a finite log-responsibility (every squared
+    distance overflowed). ``geometry`` is
     ``_geometry(x_t, mix, sched)`` when the caller already holds it; by
     default it is computed here.
     """
     diff, sq = _geometry(x_t, mix, sched) if geometry is None else geometry
     log_w, rows = _level_table(mix, cond, sched)
     var_t, log_norm, neg_noise_scale = rows[x_t.t]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logits = log_w - 0.5 * (log_norm + sq / var_t)
-        logits -= logits.max()
-        resp = np.exp(logits)
-        resp /= resp.sum()
+    logits = log_w - 0.5 * (log_norm + sq / var_t)
+    top = logits.max()
+    if not top > -math.inf:
+        raise NonFiniteError(f"no mixture component has a finite log-responsibility at level {x_t.t}")
+    logits -= top
+    resp = np.exp(logits)
+    resp /= resp.sum()
     return neg_noise_scale * ((resp / var_t) @ diff)
 
 

@@ -126,6 +126,9 @@ OUT_OF_MEMORY = lambda d: d["schedule"].update(train_steps=10**11)  # noqa: E731
         # Range checks that the domain constructors make; the harness names the field.
         pytest.param(lambda d: d["mixture"].update(scales=[0.7, 1e151]), "config.mixture.scales", id="scale-above-cap"),
         pytest.param(lambda d: d["mixture"].update(scales=[0.0, 0.7]), "config.mixture.scales", id="scale-zero"),
+        pytest.param(
+            lambda d: d["mixture"].update(scales=[1e-200, 0.7]), "config.mixture.scales", id="scale-square-underflows"
+        ),
         pytest.param(lambda d: d["mixture"].update(weights=[1.0, 0.0]), "config.mixture.weights", id="weight-zero"),
         pytest.param(
             lambda d: d["condition"].update(weights=[1.5, -0.5]), "config.condition.weights", id="cond-weight-negative"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ctrlz import (
     guided_epsilon,
     predict,
 )
-from ctrlz.dynamics import ConfigError
+from ctrlz.dynamics import ConfigError, NonFiniteError
 
 SCHED = build_linear_schedule(30, 0.005, 0.1)
 UNCOND = Condition()
@@ -117,6 +118,13 @@ def test_exact_epsilon_stays_finite_under_extreme_logits():
     x = LatentState(np.array([390.0]), 1)
     eps = exact_epsilon(x, UNCOND, mix, SCHED)
     assert np.all(np.isfinite(eps))
+
+
+def test_exact_epsilon_raises_when_every_distance_overflows(two_mode_mix, sched50):
+    # Every squared distance is inf, so every logit is -inf and no responsibility is defined.
+    x = LatentState(np.array([1e200, 1e200]), 25)
+    with pytest.raises(NonFiniteError, match="at level 25"):
+        exact_epsilon(x, UNCOND, two_mode_mix, sched50)
 
 
 @st.composite
@@ -264,6 +272,10 @@ def test_mixture_validation():
     with pytest.raises(ValueError, match="scales") as err:
         GaussianMixture(np.array([0.5, 0.5]), np.array([[0.0], [1.0]]), np.array([1e200, 0.7]))
     assert err.value.field == "scales"
+    # scale**2 underflows to 0, so the level-0 log-normaliser would be -inf.
+    with pytest.raises(ValueError, match="scales") as err:
+        GaussianMixture(np.array([0.5, 0.5]), np.array([[0.0], [1.0]]), np.array([1e-200, 0.7]))
+    assert err.value.field == "scales"
     with pytest.raises(ValueError, match="scales") as err:
         GaussianMixture(np.array([1.0]), np.array([[0.0]]), np.array([float("nan")]))
     assert err.value.field == "scales"
@@ -342,15 +354,34 @@ def test_denoiser_is_bit_identical_to_reference(case):
     assert_denoiser_matches_reference(mix, cond, x, SCHED, guidances)
 
 
-def test_high_dim_denoiser_is_bit_identical_to_reference():
+def high_dim_case():
+    """A reweighted K=64, d=1024 mixture, the size of the benchmark's ``denoise_hd`` workload."""
     rng = np.random.default_rng(64)
     counts = rng.integers(1, 10, 64)
     cond_counts = rng.integers(0, 10, 64)
     mix = GaussianMixture(counts / counts.sum(), rng.normal(0.0, 1.0, (64, 1024)), rng.uniform(0.5, 1.5, 64))
     cond = Condition(cond_counts / cond_counts.sum())
-    sched = build_linear_schedule(8, 0.01, 0.3)
+    return mix, cond, build_linear_schedule(8, 0.01, 0.3), rng.normal(0.0, 1.5, 1024)
+
+
+def test_high_dim_denoiser_is_bit_identical_to_reference():
+    mix, cond, sched, x = high_dim_case()
     guidances = [GuidanceConfig(2.0, GuidanceMode.CFG), GuidanceConfig(2.0, GuidanceMode.CFG_PLUS_PLUS)]
-    assert_denoiser_matches_reference(mix, cond, rng.normal(0.0, 1.5, 1024), sched, guidances)
+    assert_denoiser_matches_reference(mix, cond, x, sched, guidances)
+
+
+def test_predict_allocates_one_mixture_sized_array():
+    # The geometry is built in place: one (K, d) array per pass, shared by both guidance branches.
+    mix, cond, sched, x = high_dim_case()
+    state, guidance = LatentState(x, 4), GuidanceConfig(2.0, GuidanceMode.CFG)
+    predict(state, cond, mix, guidance, sched)  # fills the level-table cache, which is not per-pass work
+    tracemalloc.start()
+    try:
+        predict(state, cond, mix, guidance, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * mix.means.nbytes
 
 
 def test_predict_calls_exact_epsilon_once_per_branch(monkeypatch, two_mode_mix, balanced_cond, sched50):
