@@ -11,7 +11,7 @@ import shutil
 import tempfile
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -32,14 +32,28 @@ from .samplers import (
 from .schedule import NoiseSchedule, build_linear_schedule, subsample
 from .seeding import keyed_rng, mix_seed
 
-STRATEGY_NAMES = ("ddim", "resampling", "zsampling", "sop", "ctrlz")
 _OUTPUT_FILES = ("runs.csv", "events.jsonl", "summary.json", "histograms.csv", "meta.json")
+
+# Each config kind is one entry. A condition kind names the key it reads; a strategy, the parameters it reads.
+_CONDITIONS = {"unconditional": None, "component": "component", "reweight": "weights"}
+_STRATEGIES = {
+    "ddim": (),
+    "resampling": (),
+    "zsampling": ("inversion_omega",),
+    "sop": ("n_candidates",),
+    "ctrlz": tuple(f.name for f in fields(CtrlZParams)),
+}
+STRATEGY_NAMES = tuple(_STRATEGIES)
+# A reward kind names its type. The type's fields, all but the mixture that its own section gives,
+# are the keys the kind reads, and their defaults are the only defaults.
+_REWARDS = {"neg_distance": NegDistance, "log_density": LogDensity, "plateau": Plateau}
+_REWARD_FIELDS = {kind: {f.name: f for f in fields(reward) if f.name != "mix"} for kind, reward in _REWARDS.items()}
 
 _SECTIONS: dict[str, tuple[str, ...] | None] = {
     "schedule": ("family", "train_steps", "infer_steps", "beta_start", "beta_end"),
     "mixture": ("weights", "means", "scales"),
     "condition": ("kind", "component", "weights"),
-    "reward": ("kind", "target", "inner_radius", "outer_radius", "plateau_value", "peak_value"),
+    "reward": ("kind", *dict.fromkeys(name for names in _REWARD_FIELDS.values() for name in names)),
     "guidance": ("omega", "mode"),
     "strategy": None,  # _sampler checks the strategy's keys
     "seeds": ("master_seed", "runs"),
@@ -123,24 +137,11 @@ class ConditionConfig:
 @dataclass(frozen=True)
 class RewardConfig:
     kind: str
-    target: tuple[float, ...]
-    inner_radius: float
-    outer_radius: float
-    plateau_value: float
-    peak_value: float
+    args: Mapping[str, Any]  # the keys the section gives, by field name of the kind's type
 
     def build(self, mix: GaussianMixture) -> RewardSpec:
-        if self.kind == "neg_distance":
-            return NegDistance(np.array(self.target))
-        if self.kind == "log_density":
-            return LogDensity(mix)
-        return Plateau(
-            np.array(self.target),
-            self.inner_radius,
-            self.outer_radius,
-            self.plateau_value,
-            self.peak_value,
-        )
+        reward = _REWARDS[self.kind]
+        return reward(mix) if reward is LogDensity else reward(**self.args)
 
 
 @dataclass(frozen=True)
@@ -226,10 +227,10 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
 
     cn = _section(doc, "condition", {})
     ckind = cn.get("kind", "unconditional")
-    if ckind not in ("unconditional", "component", "reweight"):
+    if not isinstance(ckind, str) or ckind not in _CONDITIONS:
         raise ConfigError("config.condition.kind", f"unknown kind {ckind!r}")
     for name in cn:
-        if name not in ("kind", {"component": "component", "reweight": "weights"}.get(ckind)):
+        if name not in ("kind", _CONDITIONS[ckind]):
             raise ConfigError(f"config.condition.{name}", f"not read by kind {ckind!r}")
     cweights: tuple[float, ...] = ()
     if ckind == "component":
@@ -243,19 +244,19 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
 
     rw = _section(doc, "reward")
     rkind = _get(rw, "kind", "config.reward")
-    if rkind not in ("neg_distance", "log_density", "plateau"):
+    if not isinstance(rkind, str) or rkind not in _REWARDS:
         raise ConfigError("config.reward.kind", f"unknown kind {rkind!r}")
     for name in rw:
-        if name not in {"neg_distance": ("kind", "target"), "log_density": ("kind",)}.get(rkind, _SECTIONS["reward"]):
+        if name not in ("kind", *_REWARD_FIELDS[rkind]):
             raise ConfigError(f"config.reward.{name}", f"not read by kind {rkind!r}")
-    rtarget: tuple[float, ...] = ()
-    if rkind in ("neg_distance", "plateau"):
-        rtarget = _vector(_get(rw, "target", "config.reward"), "config.reward.target", dim)
-    inner = _number(rw.get("inner_radius", 1.0), "config.reward.inner_radius")
-    outer = _number(rw.get("outer_radius", 2.0), "config.reward.outer_radius")
-    plateau_value = _number(rw.get("plateau_value", 0.0), "config.reward.plateau_value")
-    peak_value = _number(rw.get("peak_value", 1.0), "config.reward.peak_value")
-    reward = RewardConfig(rkind, rtarget, inner, outer, plateau_value, peak_value)
+    rargs: dict[str, Any] = {}
+    for name, field in _REWARD_FIELDS[rkind].items():
+        if name in rw or field.default is MISSING:  # a key not given is left out, so the type's default applies
+            path = f"config.reward.{name}"
+            value = _get(rw, name, "config.reward")
+            rargs[name] = _vector(value, path, dim) if name == "target" else _number(value, path)
+    reward = RewardConfig(rkind, rargs)
+    rtarget: tuple[float, ...] = rargs.get("target", ())
 
     gd = _section(doc, "guidance", {})
     omega = _number(gd.get("omega", 1.0), "config.guidance.omega")
@@ -328,20 +329,18 @@ def _sampler(strategy: StrategyConfig, guidance: GuidanceConfig, steps: int) -> 
     """
     path = "config.strategy"
     name, params = strategy.name, strategy.params
-    if name not in STRATEGY_NAMES:
+    if not isinstance(name, str) or name not in _STRATEGIES:
         raise ConfigError(f"{path}.name", f"unknown strategy {name!r}")
-    ctrlz_keys = [f.name for f in fields(CtrlZParams)]
-    known = {"ctrlz": ctrlz_keys, "sop": ["n_candidates"], "zsampling": ["inversion_omega"]}.get(name, [])
     for key in params:
-        if key not in known:
+        if key not in _STRATEGIES[name]:
             raise ConfigError(f"{path}.{key}", f"not a parameter of strategy {name!r}")
     if name == "ctrlz":
         ctrlz = _built("strategy", lambda: CtrlZParams(**params))
         if ctrlz.window > steps:
             raise ConfigError(f"{path}.window", f"{ctrlz.window} exceeds the {steps} sampling steps")
         return lambda x_T, cond, mix, sched, reward, seed: run_ctrlz(x_T, cond, mix, guidance, sched, reward, ctrlz, seed)
-    if name == "sop":
-        n = _positive_int(params.get("n_candidates", 4), f"{path}.n_candidates")
+    if name == "sop":  # n_candidates, its rule and its default are the search's
+        n = _built("strategy", lambda: CtrlZParams(**params)).n_candidates
         return lambda x_T, cond, mix, sched, reward, seed: run_sop(x_T, cond, mix, guidance, sched, reward, n, seed)
     if name == "zsampling":
         omega = _number(params.get("inversion_omega", 0.0), f"{path}.inversion_omega")

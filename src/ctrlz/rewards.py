@@ -44,10 +44,10 @@ class Plateau:
     """
 
     target: np.ndarray
-    inner_radius: float
-    outer_radius: float
-    plateau_value: float
-    peak_value: float
+    inner_radius: float = 1.0
+    outer_radius: float = 2.0
+    plateau_value: float = 0.0
+    peak_value: float = 1.0
 
     def __post_init__(self):
         t = np.asarray(self.target, dtype=np.float64)

@@ -122,44 +122,6 @@ class RunResult:
         )
 
 
-class _Run:
-    """One run's fixed inputs and its exact counts of forward passes and reward calls.
-
-    Its methods are the only sampler code that calls ``predict`` and ``score``;
-    each counts the call where it makes it.
-    """
-
-    def __init__(self, x_T: LatentState, cond: Condition, mix: GaussianMixture, sched: NoiseSchedule, seed: int):
-        if x_T.t != sched.num_steps:
-            raise ValueError(f"start state must sit at level {sched.num_steps}, got {x_T.t}")
-        self.cond, self.mix, self.sched, self.seed = cond, mix, sched, seed
-        self.nfe = self.reward_calls = 0
-
-    def predict(self, state: LatentState, guidance: GuidanceConfig) -> Prediction:
-        self.nfe += 1
-        return predict(state, self.cond, self.mix, guidance, self.sched)
-
-    def advance(self, state: LatentState, guidance: GuidanceConfig) -> tuple[LatentState, np.ndarray]:
-        """One guided denoising step; returns the new state and its clean estimate."""
-        pred = self.predict(state, guidance)
-        return ddim_step(state, pred.x0_hat, pred.eps_noise, self.sched), pred.x0_hat
-
-    def score(self, reward: RewardSpec, x0_hat: np.ndarray) -> float:
-        self.reward_calls += 1
-        return score(reward, self.cond, x0_hat)
-
-    def result(self, state: LatentState, trace: list[float], events: list[ExplorationEvent]) -> RunResult:
-        return RunResult(
-            x0=state.x,
-            reward_trace=trace,
-            events=events,
-            nfe_total=self.nfe,
-            nfe_avg=self.nfe / self.sched.num_steps,
-            reward_calls=self.reward_calls,
-            seed=self.seed,
-        )
-
-
 def run_ddim(
     x_T: LatentState,
     cond: Condition,
@@ -185,7 +147,7 @@ def run_resampling(
 
     The search with an empty window and a one-level stochastic zigzag after
     every step; the re-denoised state is always kept. Two passes per step."""
-    def zigzag(run: _Run, state: LatentState, t: int) -> LatentState:
+    def zigzag(state: LatentState, t: int, guided: Callable[..., Prediction]) -> LatentState:
         return stochastic_invert(state, 1, keyed_rng(seed, t, 0, 0).standard_normal(state.dim), sched)
 
     return _search(x_T, cond, mix, guidance, sched, None, _NO_SEARCH, seed, zigzag)
@@ -207,8 +169,8 @@ def run_zsampling(
     every step, inverting along the guided noise estimate at scale ``inversion_omega`` (0: unconditional)."""
     inversion = GuidanceConfig(inversion_omega)
 
-    def zigzag(run: _Run, state: LatentState, t: int) -> LatentState:
-        return deterministic_invert(state, run.predict(state, inversion).eps, sched)
+    def zigzag(state: LatentState, t: int, guided: Callable[..., Prediction]) -> LatentState:
+        return deterministic_invert(state, guided(state, inversion).eps, sched)
 
     return _search(x_T, cond, mix, guidance, sched, None, _NO_SEARCH, seed, zigzag)
 
@@ -265,6 +227,9 @@ def run_sop(
     return replace(_search(x_T, cond, mix, guidance, sched, reward, params, seed), events=[])
 
 
+# Once per run: a squared distance over a tiny variance overflows to the right limit, a -inf logit; any
+# other overflow yields a non-finite state, which LatentState rejects with NonFiniteError.
+@np.errstate(over="ignore")
 def _search(
     x_T: LatentState,
     cond: Condition,
@@ -274,32 +239,46 @@ def _search(
     reward: RewardSpec | None,
     params: CtrlZParams,
     seed: int,
-    zigzag: Callable[[_Run, LatentState, int], LatentState] | None = None,
+    zigzag: Callable[[LatentState, int, Callable[..., Prediction]], LatentState] | None = None,
 ) -> RunResult:
-    """The one loop over steps, behind all five strategies. ``zigzag(run, state, t)``, when
-    given, re-noises each default step's result, which one more guided step then denoises."""
-    run = _Run(x_T, cond, mix, sched, seed)
+    """The one loop over steps, behind all five strategies; it makes and counts every ``predict`` and ``score`` call
+    of the run. ``zigzag(state, t, guided)``, when given, re-noises each default step's result, which one more
+    guided step then denoises; ``guided(state, guidance)`` is the counted forward pass."""
+    T = sched.num_steps
+    if x_T.t != T:
+        raise ValueError(f"start state must sit at level {T}, got {x_T.t}")
     if reward is None and params.window > 0:
         raise ValueError("a search with a nonempty window requires a reward")
-    T = sched.num_steps
     if params.window > T:
         raise ValueError(f"window {params.window} exceeds total steps {T}")
     explore_guidance = guidance
     if params.exploration_guidance is ExplorationGuidance.CFG_IN_EXPLORATION:
         explore_guidance = GuidanceConfig(guidance.omega, GuidanceMode.CFG)
+    nfe = reward_calls = 0
+
+    def guided(state: LatentState, config: GuidanceConfig) -> Prediction:
+        nonlocal nfe
+        nfe += 1
+        return predict(state, cond, mix, config, sched)
+
+    def advance(state: LatentState, config: GuidanceConfig) -> tuple[LatentState, np.ndarray]:
+        """One guided denoising step; returns the new state and its clean estimate."""
+        pred = guided(state, config)
+        return ddim_step(state, pred.x0_hat, pred.eps_noise, sched), pred.x0_hat
 
     trace: list[float] = []
     events: list[ExplorationEvent] = []
     r_prev = -math.inf
     state = x_T
     for t in range(T, 0, -1):
-        next_state, x0_hat = run.advance(state, guidance)
+        next_state, x0_hat = advance(state, guidance)
         if zigzag is not None:
-            next_state, x0_hat = run.advance(zigzag(run, next_state, t), guidance)
+            next_state, x0_hat = advance(zigzag(next_state, t, guided), guidance)
         if t > T - params.window and (
             params.initiation is not InitiationPolicy.RANDOM or keyed_rng(seed, t, 0, 0).uniform() < params.random_p
         ):
-            r = run.score(reward, x0_hat)
+            reward_calls += 1
+            r = score(reward, cond, x0_hat)
             if params.initiation is InitiationPolicy.REWARD_BASED and r > r_prev + params.threshold:
                 r_prev = r
             else:
@@ -312,8 +291,9 @@ def _search(
                         noise = keyed_rng(seed, t, depth, i).standard_normal(state.dim)
                         cand = stochastic_invert(state, delta, noise, sched)
                         for _k in range(delta + 1):
-                            cand, cand_x0 = run.advance(cand, explore_guidance)
-                        cand_score = run.score(reward, cand_x0)
+                            cand, cand_x0 = advance(cand, explore_guidance)
+                        reward_calls += 1
+                        cand_score = score(reward, cond, cand_x0)
                         if cand_score > best_score:
                             best_score, best_state = cand_score, cand
                     if best_score > r_prev + params.threshold:
@@ -335,4 +315,4 @@ def _search(
                 r_prev = best_score
             trace.append(r_prev)
         state = next_state
-    return run.result(state, trace, events)
+    return RunResult(state.x, trace, events, nfe_total=nfe, nfe_avg=nfe / T, reward_calls=reward_calls, seed=seed)

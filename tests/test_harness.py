@@ -25,6 +25,7 @@ from ctrlz.harness import (
     sweep,
     write_outputs,
 )
+from ctrlz.rewards import Plateau
 
 
 def base_doc(**overrides):
@@ -166,6 +167,29 @@ def test_escape_defaults_to_unit_radius_around_reward_target():
     assert cfg.escape is not None
     assert cfg.escape.target == (3.0, 0.0)
     assert cfg.escape.radius == 1.0
+
+
+def test_plateau_defaults_come_from_its_type():
+    cfg = parse_config(base_doc(reward={"kind": "plateau", "target": [3.0, 0.0]}))
+    reward = cfg.build()[3]
+    assert isinstance(reward, Plateau)
+    assert reward.target.tolist() == [3.0, 0.0]
+    assert (reward.inner_radius, reward.outer_radius, reward.plateau_value, reward.peak_value) == (1.0, 2.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "reward,key,message",
+    [
+        ({"kind": "log_density", "mix": 1}, "mix", "unknown key"),  # LogDensity's mixture is the mixture section's
+        ({"kind": "plateau", "target": [3.0, 0.0], "radius": 1.0}, "radius", "unknown key"),
+        ({"kind": "neg_distance", "target": [3.0, 0.0], "peak_value": 1.0}, "peak_value", "not read by kind"),
+    ],
+)
+def test_reward_keys_are_its_types_fields(reward, key, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_doc(reward=reward))
+    assert err.value.field == f"config.reward.{key}"
+    assert message in str(err.value)
 
 
 def test_run_experiment_is_deterministic():
@@ -444,6 +468,15 @@ def test_cli_overflowing_summary_statistics_exit_3(tmp_path, capsys):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_cli_runs_a_config_whose_distance_over_variance_overflows(tmp_path):
+    # Level 0's variance for the 1e-150 scale is 1e-300, so sq / var_t overflows to the right -inf logit.
+    doc = base_doc(strategy={"name": "zsampling"}, seeds={"master_seed": 0, "runs": 2})
+    doc["schedule"].update(infer_steps=10)
+    doc["mixture"].update(means=[[-2e4, 0.0], [3.0, 0.0]], scales=[1e-150, 0.7])
+    path = write_config(tmp_path, doc)
+    assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_cli_table_stays_narrow_for_large_rewards(tmp_path, capsys):
     doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "plateau_escape.json").read_text())
     doc["reward"]["peak_value"] = 1e100
@@ -604,8 +637,10 @@ def fuzz_edits(draw):
 @example("run", "neg_distance", ("guidance", "omega", 10**400))
 # An integer that no float can hold, where the strategy parameters are checked.
 @example("run", "neg_distance", ("strategy", "threshold", 10**400))
-# A kind that cannot be a dict key.
+# A kind or name that cannot be a dict key.
 @example("run", "log_density", ("condition", "kind", []))
+@example("run", "neg_distance", ("reward", "kind", []))
+@example("run", "neg_distance", ("strategy", "name", []))
 def test_cli_exits_0_2_or_3_after_any_one_edit(command, reward, edit):
     """No edit of one field makes the CLI raise; pytest turns any warning into an error too."""
     doc = fuzz_doc(reward)
