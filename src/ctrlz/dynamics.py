@@ -22,10 +22,11 @@ class NonFiniteError(ArithmeticError):
 
 
 class ConfigError(ValueError):
-    """A value out of range; ``field`` names the offending argument or config entry."""
+    """A value out of range; ``field`` names the offending argument or config entry, ``message`` the problem."""
 
     def __init__(self, field_path: str, message: str):
         self.field = field_path
+        self.message = message
         super().__init__(f"{field_path}: {message}")
 
 
@@ -74,13 +75,13 @@ class LatentState:
     t: int
 
     def __post_init__(self):
+        if not isinstance(self.t, int) or isinstance(self.t, bool) or self.t < 0:
+            raise ValueError(f"noise level must be an integer >= 0, got {self.t!r}")
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 1:
             raise ValueError("state vector must be one-dimensional")
         if not np.isfinite(x).all():
             raise NonFiniteError(f"non-finite state at level {self.t}")
-        if self.t < 0:
-            raise ValueError("noise level must be >= 0")
         object.__setattr__(self, "x", x)
 
     @property

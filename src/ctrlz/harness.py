@@ -54,7 +54,7 @@ _SECTIONS: dict[str, tuple[str, ...] | None] = {
     "mixture": ("weights", "means", "scales"),
     "condition": ("kind", "component", "weights"),
     "reward": ("kind", *dict.fromkeys(name for names in _REWARD_FIELDS.values() for name in names)),
-    "guidance": ("omega", "mode"),
+    "guidance": tuple(f.name for f in fields(GuidanceConfig)),
     "strategy": None,  # _sampler checks the strategy's keys
     "seeds": ("master_seed", "runs"),
     "escape": ("target", "radius"),
@@ -82,7 +82,7 @@ def _built(section: str, build: Callable[[], Any]) -> Any:
     try:
         return build()
     except ConfigError as exc:
-        raise ConfigError(f"config.{section}.{exc.field}", str(exc).removeprefix(f"{exc.field}: ")) from None
+        raise ConfigError(f"config.{section}.{exc.field}", exc.message) from None
 
 
 def _positive_int(value: Any, path: str) -> int:
@@ -91,9 +91,9 @@ def _positive_int(value: Any, path: str) -> int:
     return value
 
 
-def _number(value: Any, path: str) -> float:
+def _number(value: Any, path: str, index: int | None = None) -> float:
     if not finite_number(value):
-        raise ConfigError(path, f"expected finite number, got {value!r}")
+        raise ConfigError(path if index is None else f"{path}[{index}]", f"expected finite number, got {value!r}")
     return float(value)
 
 
@@ -102,36 +102,30 @@ def _vector(value: Any, path: str, dim: int | None = None) -> tuple[float, ...]:
         raise ConfigError(path, "expected a nonempty list of numbers")
     if dim is not None and len(value) != dim:
         raise ConfigError(path, f"expected {dim} numbers, the dimension of the mixture means")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return tuple(_number(v, path, i) for i, v in enumerate(value))
+
+
+def _schedule(train_steps: int, infer_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
+    """``infer_steps`` evenly spaced levels of a linear ``train_steps``-step schedule."""
+    if infer_steps > train_steps:
+        raise ConfigError("infer_steps", "cannot exceed train_steps")
+    try:
+        return subsample(build_linear_schedule(train_steps, beta_start, beta_end), infer_steps)
+    except MemoryError as exc:
+        raise ConfigError("train_steps", f"too large to allocate: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError("beta_end" if beta_end >= 1 else "beta_start", str(exc)) from None
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
-    train_steps: int
-    infer_steps: int
-    beta_start: float
-    beta_end: float
+class SectionConfig:
+    """A config section as the callable that builds it and the arguments, by name, that the section gives."""
 
-    def build(self) -> NoiseSchedule:
-        return subsample(build_linear_schedule(self.train_steps, self.beta_start, self.beta_end), self.infer_steps)
+    make: Callable[..., Any]
+    args: Mapping[str, Any]
 
-
-@dataclass(frozen=True)
-class MixtureConfig:
-    weights: tuple[float, ...]
-    means: tuple[tuple[float, ...], ...]
-    scales: tuple[float, ...]
-
-    def build(self) -> GaussianMixture:
-        return GaussianMixture(np.array(self.weights), np.array(self.means), np.array(self.scales))
-
-
-@dataclass(frozen=True)
-class ConditionConfig:
-    weights: tuple[float, ...]  # empty for unconditional
-
-    def build(self) -> Condition:
-        return Condition(np.array(self.weights) if self.weights else None)
+    def build(self) -> Any:
+        return self.make(**self.args)
 
 
 @dataclass(frozen=True)
@@ -164,27 +158,22 @@ class EscapeConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    schedule: ScheduleConfig
-    mixture: MixtureConfig
-    condition: ConditionConfig
+    schedule: SectionConfig  # _schedule
+    mixture: SectionConfig  # GaussianMixture
+    condition: SectionConfig  # Condition
     reward: RewardConfig
     strategy: StrategyConfig
-    guidance_omega: float
-    guidance_mode: str
+    guidance: SectionConfig  # GuidanceConfig
     seeds: SeedConfig
     escape: EscapeConfig | None
 
     def build_guidance(self) -> GuidanceConfig:
-        return GuidanceConfig(self.guidance_omega, self.guidance_mode)
+        # bench/worker.py calls this name.
+        return self.guidance.build()
 
     def build(self) -> tuple[NoiseSchedule, GaussianMixture, Condition, RewardSpec, GuidanceConfig]:
         """The one path from a config to its domain objects; a range error names ``config.<section>.<argument>``."""
-        try:
-            sched = self.schedule.build()
-        except MemoryError as exc:
-            raise ConfigError("config.schedule.train_steps", f"too large to allocate: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"config.schedule.{'beta_end' if self.schedule.beta_end >= 1 else 'beta_start'}", str(exc)) from None
+        sched = _built("schedule", self.schedule.build)
         mix = _built("mixture", self.mixture.build)
         cond = _built("condition", self.condition.build)
         _built("condition", lambda: cond.effective_weights(mix))
@@ -208,13 +197,13 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     sch = _section(doc, "schedule", {})
     if sch.get("family", "linear") != "linear":
         raise ConfigError("config.schedule.family", f"unsupported family {sch['family']!r}")
-    train_steps = _positive_int(sch.get("train_steps", 1000), "config.schedule.train_steps")
-    infer_steps = _positive_int(sch.get("infer_steps", 50), "config.schedule.infer_steps")
-    if infer_steps > train_steps:
-        raise ConfigError("config.schedule.infer_steps", "cannot exceed train_steps")
-    beta_start = _number(sch.get("beta_start", 1e-4), "config.schedule.beta_start")
-    beta_end = _number(sch.get("beta_end", 0.02), "config.schedule.beta_end")
-    schedule = ScheduleConfig(train_steps, infer_steps, beta_start, beta_end)
+    sargs = {
+        "train_steps": _positive_int(sch.get("train_steps", 1000), "config.schedule.train_steps"),
+        "infer_steps": _positive_int(sch.get("infer_steps", 50), "config.schedule.infer_steps"),
+        "beta_start": _number(sch.get("beta_start", 1e-4), "config.schedule.beta_start"),
+        "beta_end": _number(sch.get("beta_end", 0.02), "config.schedule.beta_end"),
+    }
+    schedule = SectionConfig(_schedule, sargs)
 
     mx = _section(doc, "mixture")
     weights = _vector(_get(mx, "weights", "config.mixture"), "config.mixture.weights")
@@ -223,7 +212,8 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
         raise ConfigError("config.mixture.means", "expected a nonempty list of vectors")
     dim = len(_vector(means_raw[0], "config.mixture.means[0]"))
     means = tuple(_vector(m, f"config.mixture.means[{i}]", dim) for i, m in enumerate(means_raw))
-    mixture = MixtureConfig(weights, means, _vector(_get(mx, "scales", "config.mixture"), "config.mixture.scales"))
+    scales = _vector(_get(mx, "scales", "config.mixture"), "config.mixture.scales")
+    mixture = SectionConfig(GaussianMixture, {"weights": weights, "means": means, "scales": scales})
 
     cn = _section(doc, "condition", {})
     ckind = cn.get("kind", "unconditional")
@@ -232,7 +222,7 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     for name in cn:
         if name not in ("kind", _CONDITIONS[ckind]):
             raise ConfigError(f"config.condition.{name}", f"not read by kind {ckind!r}")
-    cweights: tuple[float, ...] = ()
+    cweights: tuple[float, ...] | None = None  # None keeps the mixture's own weights
     if ckind == "component":
         comp = _get(cn, "component", "config.condition")
         if not isinstance(comp, int) or isinstance(comp, bool) or not 0 <= comp < len(weights):
@@ -240,7 +230,7 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
         cweights = tuple(float(k == comp) for k in range(len(weights)))
     if ckind == "reweight":
         cweights = _vector(_get(cn, "weights", "config.condition"), "config.condition.weights")
-    condition = ConditionConfig(cweights)
+    condition = SectionConfig(Condition, {"weights": cweights})
 
     rw = _section(doc, "reward")
     rkind = _get(rw, "kind", "config.reward")
@@ -256,33 +246,30 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
             value = _get(rw, name, "config.reward")
             rargs[name] = _vector(value, path, dim) if name == "target" else _number(value, path)
     reward = RewardConfig(rkind, rargs)
-    rtarget: tuple[float, ...] = rargs.get("target", ())
 
-    gd = _section(doc, "guidance", {})
-    omega = _number(gd.get("omega", 1.0), "config.guidance.omega")
+    guidance = SectionConfig(GuidanceConfig, dict(_section(doc, "guidance", {})))
 
     st = _section(doc, "strategy", {})
     strategy = StrategyConfig(st.get("name", "ddim"), {k: v for k, v in st.items() if k != "name"})
 
     sd = _section(doc, "seeds", {})
-    if master_seed is None:
-        master_seed = sd.get("master_seed", 0)
+    master_seed = sd.get("master_seed", 0) if master_seed is None else master_seed
     if not isinstance(master_seed, int) or isinstance(master_seed, bool) or not 0 <= master_seed < 2**64:
         raise ConfigError("config.seeds.master_seed", f"expected an integer in [0, 2**64), got {master_seed!r}")
     runs = _positive_int(sd.get("runs", 1) if runs is None else runs, "config.seeds.runs")
     seeds = SeedConfig(master_seed, runs)
 
     escape: EscapeConfig | None = None
-    if "escape" in doc or rtarget:
-        es = _section(doc, "escape", {"target": rtarget})
+    if "escape" in doc or "target" in rargs:
+        es = _section(doc, "escape", {"target": rargs.get("target")})
         etarget = _vector(_get(es, "target", "config.escape"), "config.escape.target", dim)
         radius = _number(es.get("radius", 1.0), "config.escape.radius")
         if radius <= 0:
             raise ConfigError("config.escape.radius", "must be > 0")
         escape = EscapeConfig(etarget, radius)
 
-    cfg = ExperimentConfig(schedule, mixture, condition, reward, strategy, omega, gd.get("mode", "cfg"), seeds, escape)
-    _sampler(strategy, cfg.build()[-1], infer_steps)
+    cfg = ExperimentConfig(schedule, mixture, condition, reward, strategy, guidance, seeds, escape)
+    _sampler(strategy, cfg.build()[-1], sargs["infer_steps"])
     return cfg
 
 

@@ -13,6 +13,14 @@ from .dynamics import ConfigError, NonFiniteError
 from .models import Condition, GaussianMixture
 
 
+def _target_copy(target: np.ndarray) -> np.ndarray:
+    t = np.array(target, dtype=np.float64)
+    if t.ndim != 1 or not np.all(np.isfinite(t)):
+        raise ValueError("target must be a finite vector")
+    t.setflags(write=False)
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class NegDistance:
     """Negative Euclidean distance to a target point; maximal (0) at the target."""
@@ -20,10 +28,7 @@ class NegDistance:
     target: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.target, dtype=np.float64)
-        if t.ndim != 1 or not np.all(np.isfinite(t)):
-            raise ValueError("target must be a finite vector")
-        object.__setattr__(self, "target", t)
+        object.__setattr__(self, "target", _target_copy(self.target))
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,14 +55,11 @@ class Plateau:
     peak_value: float = 1.0
 
     def __post_init__(self):
-        t = np.asarray(self.target, dtype=np.float64)
-        if t.ndim != 1 or not np.all(np.isfinite(t)):
-            raise ValueError("target must be a finite vector")
+        object.__setattr__(self, "target", _target_copy(self.target))
         if not 0.0 < self.inner_radius < self.outer_radius:
             raise ConfigError("inner_radius", "require 0 < inner_radius < outer_radius")
         if not self.plateau_value < self.peak_value:
             raise ConfigError("plateau_value", "must be < peak_value")
-        object.__setattr__(self, "target", t)
 
 
 RewardSpec = Union[NegDistance, LogDensity, Plateau]

@@ -220,3 +220,15 @@ def test_latent_state_rejects_non_finite():
         LatentState(np.array([1.0, float("nan")]), 3)
     with pytest.raises(NonFiniteError):
         LatentState(np.array([float("inf")]), 1)
+
+
+@pytest.mark.parametrize("level", [True, 2.5, -1])
+def test_latent_state_rejects_a_level_that_is_not_an_integer(level):
+    with pytest.raises(ValueError, match=f"noise level must be an integer >= 0, got {level!r}"):
+        LatentState(np.zeros(2), level)
+
+
+def test_config_error_keeps_its_message():
+    err = ConfigError("omega", "must be a finite number >= 0, got 'x'")
+    assert (err.field, err.message) == ("omega", "must be a finite number >= 0, got 'x'")
+    assert str(err) == "omega: must be a finite number >= 0, got 'x'"

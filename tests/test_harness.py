@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import ctrlz
 from ctrlz.cli import main as cli_main
+from ctrlz.dynamics import GuidanceConfig
 from ctrlz.harness import (
     STRATEGY_NAMES,
     ConfigError,
@@ -192,6 +193,22 @@ def test_reward_keys_are_its_types_fields(reward, key, message):
     assert message in str(err.value)
 
 
+def test_guidance_defaults_and_keys_are_its_types():
+    doc = base_doc()
+    del doc["guidance"]
+    assert parse_config(doc).build()[4] == GuidanceConfig()
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_doc(guidance={"omega": 2.0, "scale": 1.0}))
+    assert err.value.field == "config.guidance.scale"
+    assert "unknown key" in str(err.value)
+
+
+def test_guidance_range_error_keeps_the_types_message():
+    with pytest.raises(ConfigError) as err:
+        parse_config(base_doc(guidance={"omega": "x"}))
+    assert str(err.value) == "config.guidance.omega: must be a finite number >= 0, got 'x'"
+
+
 def test_run_experiment_is_deterministic():
     cfg = parse_config(base_doc())
     a = run_experiment(cfg)["ctrlz"]
@@ -267,7 +284,7 @@ def test_compare_builds_the_domain_once_and_binds_each_strategy_once(monkeypatch
     assert (tables.misses, tables.currsize) == (2, 2) and tables.hits > 0
     mix = cfg.mixture.build()
     log_w, rows = ctrlz.models._level_table(mix, cfg.condition.build(), cfg.schedule.build())
-    assert len(rows) == cfg.schedule.infer_steps + 1
+    assert len(rows) == cfg.schedule.args["infer_steps"] + 1
     for entry in (log_w, *(value for row in rows for value in row)):
         assert np.shape(entry) in ((), (mix.n_components,))
 

@@ -126,3 +126,13 @@ def test_score_rejects_a_point_of_another_dimension(spec):
     # A one-element target would otherwise broadcast against the point.
     with pytest.raises(ValueError, match="dimension"):
         score(spec, UNCOND, np.array([3.0, 0.0]))
+
+
+@pytest.mark.parametrize("kind", [NegDistance, Plateau])
+def test_reward_target_is_a_read_only_copy(kind):
+    source = np.array([3.0, 0.0])
+    spec = kind(source)
+    source[0] = 100.0  # editing the caller's array after construction must not move the reward
+    assert spec.target.tolist() == [3.0, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        spec.target[0] = 1.0
