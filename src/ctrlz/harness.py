@@ -118,24 +118,17 @@ def _schedule(train_steps: int, infer_steps: int, beta_start: float, beta_end: f
 
 
 @dataclass(frozen=True)
-class SectionConfig:
-    """A config section as the callable that builds it and the arguments, by name, that the section gives."""
+class Built:
+    """A config section's domain object, which ``parse_config`` built once; ``build`` returns it.
 
-    make: Callable[..., Any]
-    args: Mapping[str, Any]
+    ``bench/worker.py`` calls ``cfg.<section>.build()`` and ``cfg.reward.build(mix)``, so the
+    schedule, mixture, condition and reward sections are held in this accessor.
+    """
 
-    def build(self) -> Any:
-        return self.make(**self.args)
+    value: Any
 
-
-@dataclass(frozen=True)
-class RewardConfig:
-    kind: str
-    args: Mapping[str, Any]  # the keys the section gives, by field name of the kind's type
-
-    def build(self, mix: GaussianMixture) -> RewardSpec:
-        reward = _REWARDS[self.kind]
-        return reward(mix) if reward is LogDensity else reward(**self.args)
+    def build(self, *mix: GaussianMixture) -> Any:
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -158,31 +151,26 @@ class EscapeConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    schedule: SectionConfig  # _schedule
-    mixture: SectionConfig  # GaussianMixture
-    condition: SectionConfig  # Condition
-    reward: RewardConfig
+    schedule: Built  # NoiseSchedule
+    mixture: Built  # GaussianMixture
+    condition: Built  # Condition
+    reward: Built  # RewardSpec
     strategy: StrategyConfig
-    guidance: SectionConfig  # GuidanceConfig
+    guidance: GuidanceConfig
     seeds: SeedConfig
     escape: EscapeConfig | None
 
     def build_guidance(self) -> GuidanceConfig:
         # bench/worker.py calls this name.
-        return self.guidance.build()
+        return self.guidance
 
     def build(self) -> tuple[NoiseSchedule, GaussianMixture, Condition, RewardSpec, GuidanceConfig]:
-        """The one path from a config to its domain objects; a range error names ``config.<section>.<argument>``."""
-        sched = _built("schedule", self.schedule.build)
-        mix = _built("mixture", self.mixture.build)
-        cond = _built("condition", self.condition.build)
-        _built("condition", lambda: cond.effective_weights(mix))
-        reward = _built("reward", lambda: self.reward.build(mix))
-        return sched, mix, cond, reward, _built("guidance", self.build_guidance)
+        """The config's domain objects, as ``parse_config`` built them."""
+        return self.schedule.value, self.mixture.value, self.condition.value, self.reward.value, self.guidance
 
 
 def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: int | None = None) -> ExperimentConfig:
-    """Validate a JSON-style mapping into an ExperimentConfig.
+    """Validate a JSON-style mapping into an ExperimentConfig, building each section as it is read.
 
     ``master_seed`` and ``runs``, when given, replace the seeds entries and
     are checked like them. Raises ConfigError naming the offending field on
@@ -203,7 +191,7 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
         "beta_start": _number(sch.get("beta_start", 1e-4), "config.schedule.beta_start"),
         "beta_end": _number(sch.get("beta_end", 0.02), "config.schedule.beta_end"),
     }
-    schedule = SectionConfig(_schedule, sargs)
+    sched = _built("schedule", lambda: _schedule(**sargs))
 
     mx = _section(doc, "mixture")
     weights = _vector(_get(mx, "weights", "config.mixture"), "config.mixture.weights")
@@ -213,7 +201,7 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     dim = len(_vector(means_raw[0], "config.mixture.means[0]"))
     means = tuple(_vector(m, f"config.mixture.means[{i}]", dim) for i, m in enumerate(means_raw))
     scales = _vector(_get(mx, "scales", "config.mixture"), "config.mixture.scales")
-    mixture = SectionConfig(GaussianMixture, {"weights": weights, "means": means, "scales": scales})
+    mix = _built("mixture", lambda: GaussianMixture(weights, means, scales))
 
     cn = _section(doc, "condition", {})
     ckind = cn.get("kind", "unconditional")
@@ -230,7 +218,8 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
         cweights = tuple(float(k == comp) for k in range(len(weights)))
     if ckind == "reweight":
         cweights = _vector(_get(cn, "weights", "config.condition"), "config.condition.weights")
-    condition = SectionConfig(Condition, {"weights": cweights})
+    cond = _built("condition", lambda: Condition(cweights))
+    _built("condition", lambda: cond.effective_weights(mix))
 
     rw = _section(doc, "reward")
     rkind = _get(rw, "kind", "config.reward")
@@ -245,9 +234,11 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
             path = f"config.reward.{name}"
             value = _get(rw, name, "config.reward")
             rargs[name] = _vector(value, path, dim) if name == "target" else _number(value, path)
-    reward = RewardConfig(rkind, rargs)
+    rtype = _REWARDS[rkind]
+    reward = _built("reward", lambda: rtype(mix) if rtype is LogDensity else rtype(**rargs))
 
-    guidance = SectionConfig(GuidanceConfig, dict(_section(doc, "guidance", {})))
+    gd = _section(doc, "guidance", {})
+    guidance = _built("guidance", lambda: GuidanceConfig(**gd))
 
     st = _section(doc, "strategy", {})
     strategy = StrategyConfig(st.get("name", "ddim"), {k: v for k, v in st.items() if k != "name"})
@@ -268,9 +259,8 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
             raise ConfigError("config.escape.radius", "must be > 0")
         escape = EscapeConfig(etarget, radius)
 
-    cfg = ExperimentConfig(schedule, mixture, condition, reward, strategy, guidance, seeds, escape)
-    _sampler(strategy, cfg.build()[-1], sargs["infer_steps"])
-    return cfg
+    _sampler(strategy, guidance, sched.num_steps)
+    return ExperimentConfig(Built(sched), Built(mix), Built(cond), Built(reward), strategy, guidance, seeds, escape)
 
 
 def load_config(path: str | Path, master_seed: int | None = None, runs: int | None = None) -> ExperimentConfig:
@@ -386,10 +376,11 @@ def _aggregate(
 def run_experiment(cfg: ExperimentConfig, cells: Mapping[str, StrategyConfig] | None = None) -> dict[str, StrategyOutcome]:
     """Run each labelled strategy cell over the configured batch of runs and aggregate it.
 
-    ``cells`` defaults to the configured strategy under its own name. The
-    domain objects are built once and every cell is bound before the first
-    run. Per-run seeds derive from (master_seed, run_index) only, so every
-    cell and every repeated invocation replays identical initial noises.
+    ``cells`` defaults to the configured strategy under its own name. Every
+    cell and every call shares the config's domain objects, and every cell is
+    bound before the first run. Per-run seeds derive from (master_seed,
+    run_index) only, so every cell and every repeated invocation replays
+    identical initial noises.
     """
     if cells is None:
         cells = {cfg.strategy.name: cfg.strategy}

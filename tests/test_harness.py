@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,9 @@ from ctrlz.harness import (
     sweep,
     write_outputs,
 )
-from ctrlz.rewards import Plateau
+from ctrlz.models import Condition, GaussianMixture
+from ctrlz.rewards import LogDensity, NegDistance, Plateau
+from ctrlz.schedule import NoiseSchedule
 
 
 def base_doc(**overrides):
@@ -264,10 +267,10 @@ def test_compare_checks_every_strategy_before_the_first_run(monkeypatch):
     assert calls == []
 
 
-def test_compare_builds_the_domain_once_and_binds_each_strategy_once(monkeypatch):
-    cfg = parse_config(base_doc(), runs=1)
-    calls = {"build_linear_schedule": 0, "_sampler": 0}
-    for name in calls:
+def count_calls(monkeypatch, *names):
+    """Wrap each named ``ctrlz.harness`` function to count its calls; returns the counts by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(ctrlz.harness, name)
 
         def counted(*args, name=name, original=original):
@@ -275,28 +278,80 @@ def test_compare_builds_the_domain_once_and_binds_each_strategy_once(monkeypatch
             return original(*args)
 
         monkeypatch.setattr(ctrlz.harness, name, counted)
+    return calls
+
+
+def test_compare_builds_the_domain_once_and_binds_each_strategy_once(monkeypatch):
+    calls = count_calls(monkeypatch, "build_linear_schedule", "_sampler")
+    cfg = parse_config(base_doc(), runs=1)
     ctrlz.models._level_table.cache_clear()
-    compare(cfg, STRATEGY_NAMES)
-    assert calls == {"build_linear_schedule": 1, "_sampler": len(STRATEGY_NAMES)}
+    for _ in range(2):
+        compare(cfg, STRATEGY_NAMES)
+    # parse_config builds the schedule and checks the strategy; each compare binds each strategy once.
+    assert calls == {"build_linear_schedule": 1, "_sampler": 1 + 2 * len(STRATEGY_NAMES)}
     # One level table per (mixture, condition, schedule): the reweighted condition and the
-    # unconditional branch. Each holds K-vectors and scalars, never a (K, d) array.
+    # unconditional branch, shared by both compares. Each holds K-vectors and scalars, never a (K, d) array.
     tables = ctrlz.models._level_table.cache_info()
     assert (tables.misses, tables.currsize) == (2, 2) and tables.hits > 0
-    mix = cfg.mixture.build()
-    log_w, rows = ctrlz.models._level_table(mix, cfg.condition.build(), cfg.schedule.build())
-    assert len(rows) == cfg.schedule.args["infer_steps"] + 1
+    sched, mix, cond, _, _ = cfg.build()
+    log_w, rows = ctrlz.models._level_table(mix, cond, sched)
+    assert len(rows) == sched.num_steps + 1
     for entry in (log_w, *(value for row in rows for value in row)):
         assert np.shape(entry) in ((), (mix.n_components,))
 
 
-def test_parse_config_and_run_experiment_each_build_the_domain_once(monkeypatch):
-    calls = []
-    build = ctrlz.harness.ExperimentConfig.build
-    monkeypatch.setattr(ctrlz.harness.ExperimentConfig, "build", lambda cfg: calls.append(cfg) or build(cfg))
+def test_parse_config_builds_the_domain_once_and_runs_reuse_it(monkeypatch):
+    calls = count_calls(monkeypatch, "build_linear_schedule", "_sampler")
     cfg = parse_config(base_doc(), runs=1)
-    assert calls == [cfg]
+    assert calls == {"build_linear_schedule": 1, "_sampler": 1}
     run_experiment(cfg)
-    assert calls == [cfg, cfg]
+    compare(cfg, ["ddim", "sop"])
+    sweep(cfg, [1, 2], [2])
+    assert calls == {"build_linear_schedule": 1, "_sampler": 1 + 1 + 2 + 2}
+
+
+@pytest.mark.parametrize("reward", [{"kind": "neg_distance", "target": [3.0, 0.0]}, {"kind": "log_density"}, PLATEAU])
+def test_runs_construct_no_domain_object_after_parse_config(reward, monkeypatch):
+    cfg = parse_config(base_doc(reward=reward), runs=2)
+    sched, mix, cond, _, guidance = cfg.build()
+    built = Counter()
+    for cls in (NoiseSchedule, GaussianMixture, Condition, NegDistance, LogDensity, Plateau):
+        init = cls.__init__
+
+        def counted(self, *args, init=init, **kwargs):
+            built[type(self).__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    passed = []
+    for name in ("run_ddim", "run_resampling", "run_zsampling", "run_sop", "run_ctrlz"):
+        run = getattr(ctrlz.harness, name)
+        monkeypatch.setattr(ctrlz.harness, name, lambda *args, run=run: passed.append(args[1:5]) or run(*args))
+    run_experiment(cfg)
+    compare(cfg, STRATEGY_NAMES)
+    sweep(cfg, [1, 2], [2])
+    assert built == Counter()
+    # (cond, mix, guidance, sched), in every run_* signature; samplers' own inversion guidance is theirs.
+    assert len(passed) == 2 * (1 + len(STRATEGY_NAMES) + 2)
+    assert all(a is b for args in passed for a, b in zip(args, (cond, mix, guidance, sched)))
+
+
+@pytest.mark.parametrize("reward", [{"kind": "neg_distance", "target": [3.0, 0.0]}, {"kind": "log_density"}, PLATEAU])
+@pytest.mark.parametrize(
+    "condition",
+    [{"kind": "unconditional"}, {"kind": "component", "component": 1}, {"kind": "reweight", "weights": [0.5, 0.5]}],
+)
+def test_bench_worker_set_up_calls_return_the_held_objects(reward, condition):
+    # The calls bench/worker.py makes on each config it loads, in its order.
+    cfg = parse_config(base_doc(reward=reward, condition=condition))
+    sched, mix, cond, rew, guidance = cfg.build()
+    assert cfg.strategy.params.get("workers", 1) == 1
+    assert cfg.schedule.build() is sched
+    worker_mix = cfg.mixture.build()
+    assert worker_mix is mix
+    assert cfg.condition.build() is cond
+    assert cfg.reward.build(worker_mix) is rew
+    assert cfg.build_guidance() is guidance
 
 
 def test_compare_reproduces_reference_nfe_column():
