@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -111,15 +111,8 @@ class RunResult:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunResult):
             return NotImplemented
-        return (
-            np.array_equal(self.x0, other.x0)
-            and self.reward_trace == other.reward_trace
-            and self.events == other.events
-            and self.nfe_total == other.nfe_total
-            and self.nfe_avg == other.nfe_avg
-            and self.reward_calls == other.reward_calls
-            and self.seed == other.seed
-        )
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 
 def run_ddim(

@@ -30,6 +30,7 @@ from ctrlz import (
     run_resampling,
     run_sop,
     run_zsampling,
+    stochastic_invert,
     subsample,
 )
 from ctrlz.harness import StrategyConfig, compare, parse_config, run_experiment, write_outputs
@@ -234,8 +235,9 @@ def test_a4_inversion_marginal_statistics(sched50):
             ab_t = sched50.alpha_bars[t]
             ab_up = sched50.alpha_bars[t + delta]
             x_t = math.sqrt(ab_t) * x0 + math.sqrt(1 - ab_t) * rng.standard_normal((n, 2))
-            ratio = ab_up / ab_t
-            x_up = math.sqrt(ratio) * x_t + math.sqrt(1 - ratio) * rng.standard_normal((n, 2))
+            # The operator is elementwise, so one state holding all n * 2 coordinates re-noises each sample.
+            noise = rng.standard_normal((n, 2)).ravel()
+            x_up = stochastic_invert(LatentState(x_t.ravel(), t), delta, noise, sched50).x.reshape(n, 2)
             mean_se = math.sqrt((1 - ab_up) / n)
             var_se = (1 - ab_up) * math.sqrt(2 / (n - 1))
             mean_err = np.abs(x_up.mean(axis=0) - math.sqrt(ab_up) * x0)

@@ -79,6 +79,8 @@ def test_ddim_step_rejects_bad_inputs():
         ddim_step(LatentState(np.zeros(2), 0), np.zeros(2), np.zeros(2), SCHED)
     with pytest.raises(ValueError):
         ddim_step(LatentState(np.zeros(2), 3), np.zeros(3), np.zeros(2), SCHED)
+    with pytest.raises(ValueError, match="outside schedule"):
+        ddim_step(LatentState(np.zeros(2), SCHED.num_steps + 1), np.zeros(2), np.zeros(2), SCHED)
 
 
 def test_stochastic_invert_zero_delta_is_identity():
@@ -108,12 +110,27 @@ def test_stochastic_invert_marginal_moments():
     ab_t = SCHED.alpha_bars[t]
     ab_up = SCHED.alpha_bars[t + delta]
     x_t = math.sqrt(ab_t) * x0 + math.sqrt(1 - ab_t) * rng.standard_normal(n)
-    ratio = ab_up / ab_t
-    x_up = math.sqrt(ratio) * x_t + math.sqrt(1 - ratio) * rng.standard_normal(n)
+    # The operator is elementwise, so one n-dimensional state re-noises all n samples at once.
+    x_up = stochastic_invert(LatentState(x_t, t), delta, rng.standard_normal(n), SCHED).x
     mean_se = math.sqrt((1 - ab_up) / n)
     var_se = (1 - ab_up) * math.sqrt(2 / (n - 1))
     assert abs(x_up.mean() - math.sqrt(ab_up) * x0) <= 4 * mean_se
     assert abs(x_up.var(ddof=1) - (1 - ab_up)) <= 4 * var_se
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: clean_estimate(LatentState(np.zeros(2), 3), np.zeros(3), SCHED), "eps dimension mismatch"),
+        (lambda: stochastic_invert(LatentState(np.zeros(2), 3), -1, np.zeros(2), SCHED), "delta must be >= 0"),
+        (lambda: stochastic_invert(LatentState(np.zeros(2), 3), 1, np.zeros(3), SCHED), "noise dimension mismatch"),
+        (lambda: deterministic_invert(LatentState(np.zeros(2), 3), np.zeros(3), SCHED), "eps dimension mismatch"),
+    ],
+    ids=["clean-estimate-eps", "negative-delta", "noise-shape", "deterministic-invert-eps"],
+)
+def test_step_operators_reject_bad_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_stochastic_invert_rejects_overflowing_level():
@@ -220,6 +237,11 @@ def test_latent_state_rejects_non_finite():
         LatentState(np.array([1.0, float("nan")]), 3)
     with pytest.raises(NonFiniteError):
         LatentState(np.array([float("inf")]), 1)
+
+
+def test_latent_state_rejects_a_state_that_is_not_a_vector():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        LatentState(np.zeros((2, 2)), 1)
 
 
 @pytest.mark.parametrize("level", [True, 2.5, -1])

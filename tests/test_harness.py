@@ -446,6 +446,15 @@ def test_cli_compare_and_sweep(tmp_path):
     assert set(summary) == {"ctrlz[dmax=1,n=1]", "ctrlz[dmax=2,n=1]"}
 
 
+def test_cli_rejects_a_depth_list_that_is_not_integers(tmp_path, capsys):
+    path = write_config(tmp_path, base_doc())
+    with pytest.raises(SystemExit) as err:
+        cli_main(["sweep", str(path), "--dmax", "1,x", "--out", str(tmp_path / "sw")])
+    assert err.value.code == 2
+    assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     doc = base_doc()
     doc["mixture"]["weights"] = [0.5, 0.6]
@@ -461,6 +470,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         pytest.param(".", "out", "config", id="config-is-directory"),
         pytest.param("latin1.json", "out", "config", id="config-not-utf8"),
         pytest.param("deep.json", "out", "config", id="config-too-deep"),
+        pytest.param("list.json", "out", "config", id="config-not-an-object"),
         pytest.param("config.json", "config.json", "out", id="out-is-file"),
         pytest.param("config.json", "config.json/out", "out", id="out-under-file"),
         pytest.param("config.json", "taken", "out", id="out-file-is-directory"),
@@ -471,6 +481,7 @@ def test_cli_unreadable_config_or_out_exits_2(tmp_path, capsys, config, out, fie
     (tmp_path / "taken" / "runs.csv").mkdir(parents=True)
     (tmp_path / "latin1.json").write_bytes(b'{"seeds": {"runs": "\xe9"}}')
     (tmp_path / "deep.json").write_text("[" * 100000)
+    (tmp_path / "list.json").write_text("[]")
     assert cli_main(["run", str(tmp_path / config), "--out", str(tmp_path / out)]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
 

@@ -42,42 +42,35 @@ def posterior_mean_oracle(mix, weights, x, ab):
     return resp @ post
 
 
-def marginal_component_params(mix, k, t, sched):
-    """Mean and isotropic variance of component ``k`` diffused to level ``t``."""
-    if not 0 <= k < mix.n_components:
-        raise ValueError(f"component {k} out of range")
-    ab = float(sched.alpha_bars[t])
-    return math.sqrt(ab) * mix.means[k], ab * float(mix.scales[k]) ** 2 + (1.0 - ab)
+def level_terms(mix, t, sched):
+    """The denoiser's diffused component means (its geometry at x = 0) and component variances at level ``t``."""
+    diff, _ = ctrlz.models._geometry(LatentState(np.zeros(mix.dim), t), mix, sched)
+    var_t = ctrlz.models._level_table(mix, UNCOND, sched)[1][t][0]
+    return diff, var_t
 
 
-def test_marginal_params_zero_noise_level():
+def test_level_terms_zero_noise_level():
     mix = GaussianMixture(np.array([1.0]), np.array([[2.0, -1.0]]), np.array([0.5]))
-    mean, var = marginal_component_params(mix, 0, 0, SCHED)
-    assert np.array_equal(mean, mix.means[0])
-    assert var == 0.25
+    means, var = level_terms(mix, 0, SCHED)
+    assert np.array_equal(means[0], mix.means[0])
+    assert var[0] == 0.25
 
 
-def test_marginal_params_full_noise_limit():
+def test_level_terms_full_noise_limit():
     mix = GaussianMixture(np.array([1.0]), np.array([[2.0, -1.0]]), np.array([0.5]))
     deep = build_linear_schedule(4000, 1e-3, 0.03)
-    mean, var = marginal_component_params(mix, 0, 4000, deep)
-    assert np.max(np.abs(mean)) < 1e-8
-    assert var == pytest.approx(1.0, abs=1e-8)
+    means, var = level_terms(mix, 4000, deep)
+    assert np.max(np.abs(means[0])) < 1e-8
+    assert var[0] == pytest.approx(1.0, abs=1e-8)
 
 
-def test_marginal_params_half_noise_hand_case():
+def test_level_terms_half_noise_hand_case():
     # ab = 0.5, mu = (2, 0), s = 1: variance 0.5 * 1 + 0.5 = 1 exactly
     sched = NoiseSchedule(np.array([1.0, 0.5]))
     mix = GaussianMixture(np.array([1.0]), np.array([[2.0, 0.0]]), np.array([1.0]))
-    mean, var = marginal_component_params(mix, 0, 1, sched)
-    assert np.allclose(mean, [math.sqrt(0.5) * 2.0, 0.0], rtol=1e-15)
-    assert var == 1.0
-
-
-def test_marginal_params_rejects_bad_component():
-    mix = GaussianMixture(np.array([1.0]), np.array([[0.0]]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        marginal_component_params(mix, 1, 3, SCHED)
+    means, var = level_terms(mix, 1, sched)
+    assert np.allclose(means[0], [math.sqrt(0.5) * 2.0, 0.0], rtol=1e-15)
+    assert var[0] == 1.0
 
 
 def test_exact_epsilon_standard_normal_closed_form():
@@ -109,6 +102,13 @@ def test_exact_epsilon_mirror_symmetry():
     x = LatentState(np.array([0.0, 0.37]), 9)
     eps = exact_epsilon(x, UNCOND, mix, SCHED)
     assert eps[0] == pytest.approx(0.0, abs=1e-14)
+
+
+def test_exact_epsilon_rejects_a_state_outside_the_schedule_or_mixture(two_mode_mix, sched50):
+    with pytest.raises(ValueError, match="outside schedule"):
+        exact_epsilon(LatentState(np.zeros(2), sched50.num_steps + 1), UNCOND, two_mode_mix, sched50)
+    with pytest.raises(ValueError, match="state dimension does not match mixture"):
+        exact_epsilon(LatentState(np.zeros(3), 5), UNCOND, two_mode_mix, sched50)
 
 
 def test_exact_epsilon_stays_finite_under_extreme_logits():
@@ -260,6 +260,8 @@ def test_predict_level_zero_degenerates_gracefully(two_mode_mix, balanced_cond, 
 
 
 def test_mixture_validation():
+    with pytest.raises(ValueError, match="nonempty"):
+        GaussianMixture(np.array([]), np.zeros((0, 1)), np.array([]))
     with pytest.raises(ValueError) as err:
         GaussianMixture(np.array([0.5, 0.6]), np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
     assert err.value.field == "weights"

@@ -114,13 +114,25 @@ def test_plateau_validation():
     assert err.value.field == "plateau_value"
 
 
+@pytest.mark.parametrize("kind", [NegDistance, Plateau])
+def test_reward_target_must_be_finite(kind):
+    with pytest.raises(ValueError, match="target must be a finite vector"):
+        kind(np.array([3.0, float("nan")]))
+
+
 def test_score_rejects_non_finite_points():
     with pytest.raises(ValueError):
         score(NegDistance(np.zeros(1)), UNCOND, np.array([float("nan")]))
 
 
 @pytest.mark.parametrize(
-    "spec", [NegDistance(np.array([3.0])), Plateau(np.array([3.0]), 1.0, 2.0, 0.0, 1.0)], ids=["neg_distance", "plateau"]
+    "spec",
+    [
+        NegDistance(np.array([3.0])),
+        Plateau(np.array([3.0]), 1.0, 2.0, 0.0, 1.0),
+        LogDensity(GaussianMixture(np.array([1.0]), np.array([[3.0]]), np.array([1.0]))),
+    ],
+    ids=["neg_distance", "plateau", "log_density"],
 )
 def test_score_rejects_a_point_of_another_dimension(spec):
     # A one-element target would otherwise broadcast against the point.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import ctrlz.samplers as samplers_mod
 from ctrlz import (
     Condition,
     CtrlZParams,
+    ExplorationEvent,
     ExplorationGuidance,
     GaussianMixture,
     GuidanceConfig,
@@ -51,6 +53,34 @@ def test_ddim_reruns_are_bit_identical(sched50, two_mode_mix, balanced_cond):
     b = run_ddim(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, seed=7)
     assert a == b
     assert a.reward_trace == [] and a.reward_calls == 0
+
+
+def sample_result():
+    event = ExplorationEvent(12, "reward_based", 2, 6, 2, TerminatedBy.THRESHOLD_MET, 0.5, 0.25)
+    return RunResult(np.array([1.0, -2.0]), [0.1, 0.2], [event], 60, 1.2, 7, 3)
+
+
+def differ_in(result, name):
+    """``result`` with field ``name`` changed in one place: an element, a trace entry, an event's score or the scalar."""
+    value = getattr(result, name)
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[0] += 1.0
+    elif name == "events":
+        value = [dataclasses.replace(value[0], accepted_score=value[0].accepted_score + 1.0)]
+    elif isinstance(value, list):
+        value = value[:-1] + [value[-1] + 1.0]
+    else:
+        value = value + 1
+    return dataclasses.replace(result, **{name: value})
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunResult)])
+def test_run_result_equality_reads_every_field(field):
+    result, changed = sample_result(), differ_in(sample_result(), field)
+    assert result == sample_result()
+    assert result != changed and changed != result
+    assert (result == "x") is False
 
 
 def test_ddim_flow_contracts_to_mean_for_tiny_spread(sched50):

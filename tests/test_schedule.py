@@ -56,6 +56,8 @@ def test_schedule_rejects_inconsistent_products():
         NoiseSchedule(np.array([1.0]))
     with pytest.raises(ValueError, match="at least two levels"):
         NoiseSchedule(np.array([[1.0, 0.5]]))
+    with pytest.raises(ValueError, match="must be finite"):
+        NoiseSchedule(np.array([1.0, float("nan")]))
 
 
 def test_schedule_length_is_derived_from_its_products():
