@@ -1,13 +1,16 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The experiment battery (two-mode landscape, 200 paired seeds, frozen
-master seed) is shared across criteria through module-scoped fixtures.
+lines. The gates read the shipped landscapes in `configs/`: A1, A2 and A8
+sample two_mode_escape at guidance 1, and A5-A9 run it (and plateau_escape for
+A5's plateau clause) at its own seeds, each variation an override of its
+strategy section. The two-mode battery is shared through module fixtures.
 """
 
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +23,6 @@ from ctrlz import (
     GuidanceMode,
     InitiationPolicy,
     LatentState,
-    NegDistance,
-    build_linear_schedule,
     clean_estimate,
     exact_epsilon,
     keyed_rng,
@@ -31,24 +32,11 @@ from ctrlz import (
     run_sop,
     run_zsampling,
     stochastic_invert,
-    subsample,
 )
-from ctrlz.harness import StrategyConfig, compare, parse_config, run_experiment, write_outputs
+from ctrlz.harness import compare, parse_config, run_experiment, write_outputs
 
-MASTER_SEED = 20260810
-RUNS = 200
-OMEGA = 2.0
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CFG = GuidanceConfig(1.0, GuidanceMode.CFG)
-
-NEG_DISTANCE = {"kind": "neg_distance", "target": [3.0, 0.0]}
-PLATEAU = {
-    "kind": "plateau",
-    "target": [3.0, 0.0],
-    "inner_radius": 3.5,
-    "outer_radius": 7.0,
-    "plateau_value": 0.0,
-    "peak_value": 1.0,
-}
 
 
 def report(criterion: str, description: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -68,61 +56,42 @@ def sign_test_p(diffs: np.ndarray) -> float:
     return sum(math.comb(n, k) for k in range(pos, n + 1)) / 2.0**n
 
 
-def landscape_config(reward, *, dmax=3, n=4, window=40, policy="reward_based", random_p=0.5):
-    return parse_config(
-        {
-            "schedule": {"train_steps": 1000, "infer_steps": 50, "beta_start": 1e-4, "beta_end": 0.02},
-            "mixture": {
-                "weights": [0.8, 0.2],
-                "means": [[-3.0, 0.0], [3.0, 0.0]],
-                "scales": [0.7, 0.7],
-            },
-            "condition": {"kind": "reweight", "weights": [0.5, 0.5]},
-            "reward": reward,
-            "guidance": {"omega": OMEGA, "mode": "cfg"},
-            "strategy": {
-                "name": "ctrlz",
-                "window": window,
-                "threshold": 0.0,
-                "max_depth": dmax,
-                "n_candidates": n,
-                "initiation": policy,
-                "random_p": random_p,
-            },
-            "seeds": {"master_seed": MASTER_SEED, "runs": RUNS},
-            "escape": {"target": [3.0, 0.0], "radius": 1.0},
-        }
-    )
+def landscape_config(name="two_mode_escape", runs=None, **strategy):
+    """The shipped config ``configs/<name>.json``, its strategy section updated by ``strategy``."""
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    doc["strategy"].update(strategy)
+    return parse_config(doc, runs=runs)
 
 
 @pytest.fixture(scope="module")
-def sampler_setup(sched50, two_mode_mix, balanced_cond):
-    x_T = LatentState(keyed_rng(MASTER_SEED, 0).standard_normal(2), 50)
-    reward = NegDistance(np.array([3.0, 0.0]))
-    return sched50, two_mode_mix, balanced_cond, x_T, reward
+def two_mode():
+    return landscape_config()
 
 
 @pytest.fixture(scope="module")
-def ddim_outcome():
-    return run_experiment(landscape_config(NEG_DISTANCE), {"ddim": StrategyConfig("ddim", {})})["ddim"]
+def sampler_setup(two_mode):
+    sched, mix, cond, reward, _ = two_mode.build()
+    x_T = LatentState(keyed_rng(two_mode.seeds.master_seed, 0).standard_normal(mix.dim), sched.num_steps)
+    return sched, mix, cond, x_T, reward
+
+
+@pytest.fixture(scope="module")
+def ddim_outcome(two_mode):
+    return compare(two_mode, ["ddim"])["ddim"]
 
 
 @pytest.fixture(scope="module")
 def ctrlz_cells():
-    cells = {}
-    for dmax, n in [(1, 1), (1, 2), (1, 4), (2, 4), (3, 4)]:
-        cells[(dmax, n)] = run_experiment(landscape_config(NEG_DISTANCE, dmax=dmax, n=n))["ctrlz"]
-    return cells
+    grid = [(1, 1), (1, 2), (1, 4), (2, 4), (3, 4)]
+    return {(d, n): run_experiment(landscape_config(max_depth=d, n_candidates=n))["ctrlz"] for d, n in grid}
 
 
 @pytest.fixture(scope="module")
-def ddim_escape_oracle(sched50):
+def ddim_escape_oracle(two_mode):
     """Brute-force escape-rate estimate: an independent vectorized rewrite of
     the guided deterministic flow over 2000 fresh initial noises."""
-    w_uncond = np.array([0.8, 0.2])
-    w_cond = np.array([0.5, 0.5])
-    means = np.array([[-3.0, 0.0], [3.0, 0.0]])
-    s2 = np.array([0.7, 0.7]) ** 2
+    sched, mix, cond, _, _ = two_mode.build()
+    means, s2, omega = mix.means, mix.scales**2, two_mode.guidance.omega
 
     def batch_eps(x, ab, w):
         m = math.sqrt(ab) * means
@@ -135,19 +104,19 @@ def ddim_escape_oracle(sched50):
         g /= g.sum(axis=1, keepdims=True)
         return -math.sqrt(1.0 - ab) * np.einsum("nk,nkd->nd", g / v[None, :], diff)
 
-    x = np.random.default_rng(99).standard_normal((2000, 2))
-    for t in range(50, 0, -1):
-        ab_t = sched50.alpha_bars[t]
-        ab_p = sched50.alpha_bars[t - 1]
-        e_u = batch_eps(x, ab_t, w_uncond)
-        eps = e_u + OMEGA * (batch_eps(x, ab_t, w_cond) - e_u)
+    x = np.random.default_rng(99).standard_normal((2000, mix.dim))
+    for t in range(sched.num_steps, 0, -1):
+        ab_t = sched.alpha_bars[t]
+        ab_p = sched.alpha_bars[t - 1]
+        e_u = batch_eps(x, ab_t, mix.weights)
+        eps = e_u + omega * (batch_eps(x, ab_t, cond.weights) - e_u)
         x0 = (x - math.sqrt(1 - ab_t) * eps) / math.sqrt(ab_t)
         x = math.sqrt(ab_p) * x0 + math.sqrt(1 - ab_p) * eps
-    return float(np.mean(np.linalg.norm(x - [3.0, 0.0], axis=1) <= 1.0))
+    return float(np.mean(np.linalg.norm(x - two_mode.escape.target, axis=1) <= two_mode.escape.radius))
 
 
 def test_a1_nfe_accounting(sampler_setup):
-    t0 = time.time()
+    t0 = time.perf_counter()
     sched, mix, cond, x_T, reward = sampler_setup
     ddim = run_ddim(x_T, cond, mix, CFG, sched)
     resampling = run_resampling(x_T, cond, mix, CFG, sched, seed=1)
@@ -161,23 +130,23 @@ def test_a1_nfe_accounting(sampler_setup):
         and abs(sop1.nfe_avg - 3.0) <= 0.2
         and abs(sop4.nfe_avg - 9.0) <= 0.2
     )
-    report("A1", "per-step forward-pass averages match the reference table", ok, time.time() - t0, 1.0)
+    report("A1", "per-step forward-pass averages match the reference table", ok, time.perf_counter() - t0, 1.0)
 
 
-def test_a2_ctrlz_deterministic_nfe_identity(sampler_setup):
-    t0 = time.time()
+def test_a2_ctrlz_deterministic_nfe_identity(sampler_setup, two_mode):
+    t0 = time.perf_counter()
     sched, mix, cond, x_T, reward = sampler_setup
     params = CtrlZParams(
         window=50, threshold=0.0, max_depth=1, n_candidates=1,
         initiation=InitiationPolicy.ALWAYS,
     )
-    res = run_ctrlz(x_T, cond, mix, CFG, sched, reward, params, seed=MASTER_SEED)
+    res = run_ctrlz(x_T, cond, mix, CFG, sched, reward, params, seed=two_mode.seeds.master_seed)
     ok = res.nfe_total == 149 and res.nfe_avg == pytest.approx(2.98)
-    report("A2", "always-on shallow search costs exactly 149 passes", ok, time.time() - t0, 1.0)
+    report("A2", "always-on shallow search costs exactly 149 passes", ok, time.perf_counter() - t0, 1.0)
 
 
 def test_a3_posterior_mean_oracle(sched50):
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(314)
     worst_single = 0.0
     for _ in range(1000):
@@ -221,11 +190,11 @@ def test_a3_posterior_mean_oracle(sched50):
             worst_multi, float(np.max(np.abs(got - expected)) / max(1.0, np.max(np.abs(expected))))
         )
     ok = worst_single <= 1e-9 and worst_multi <= 1e-9
-    report("A3", "clean estimates equal closed-form posterior means", ok, time.time() - t0, 5.0)
+    report("A3", "clean estimates equal closed-form posterior means", ok, time.perf_counter() - t0, 5.0)
 
 
 def test_a4_inversion_marginal_statistics(sched50):
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = 100_000
     rng = np.random.default_rng(2718)
     x0 = np.array([1.5, -0.8])
@@ -243,18 +212,16 @@ def test_a4_inversion_marginal_statistics(sched50):
             mean_err = np.abs(x_up.mean(axis=0) - math.sqrt(ab_up) * x0)
             var_err = np.abs(x_up.var(axis=0, ddof=1) - (1 - ab_up))
             ok = ok and np.all(mean_err <= 4 * mean_se) and np.all(var_err <= 4 * var_se)
-    report("A4", "re-noised states match forward marginal moments", ok, time.time() - t0, 10.0)
+    report("A4", "re-noised states match forward marginal moments", ok, time.perf_counter() - t0, 10.0)
 
 
 def test_a5_escape_rate_experiment(ddim_escape_oracle, ddim_outcome, ctrlz_cells):
-    t0 = time.time()
+    t0 = time.perf_counter()
     oracle = ddim_escape_oracle
     harness_ddim = ddim_outcome.stats.escape_rate
     ctrlz_escape = ctrlz_cells[(3, 4)].stats.escape_rate
 
-    plateau_cfg = landscape_config(PLATEAU)
-    sop = StrategyConfig("sop", {"n_candidates": 4})
-    plateau = run_experiment(plateau_cfg, {"ctrlz": plateau_cfg.strategy, "sop": sop})
+    plateau = compare(landscape_config("plateau_escape"), ["ctrlz", "sop"])
     plateau_ctrlz = plateau["ctrlz"].stats.escape_rate
     plateau_sop = plateau["sop"].stats.escape_rate
 
@@ -267,11 +234,11 @@ def test_a5_escape_rate_experiment(ddim_escape_oracle, ddim_outcome, ctrlz_cells
         f"    oracle ddim={oracle:.3f}, harness ddim={harness_ddim:.3f}, ctrlz={ctrlz_escape:.3f}, "
         f"plateau ctrlz={plateau_ctrlz:.3f} vs sop4={plateau_sop:.3f}"
     )
-    report("A5", "adaptive search escapes the misaligned basin", ok, time.time() - t0, 120.0)
+    report("A5", "adaptive search escapes the misaligned basin", ok, time.perf_counter() - t0, 120.0)
 
 
 def test_a6_depth_width_scaling_trend(ctrlz_cells):
-    t0 = time.time()
+    t0 = time.perf_counter()
     pairs = [
         ((1, 4), (2, 4), "depth 1->2"),
         ((2, 4), (3, 4), "depth 2->3"),
@@ -286,14 +253,14 @@ def test_a6_depth_width_scaling_trend(ctrlz_cells):
         mean_hi = ctrlz_cells[hi].stats.mean_final_reward
         print(f"    {tag}: mean {mean_lo:+.4f} -> {mean_hi:+.4f}, sign-test p={p:.2e}")
         ok = ok and mean_hi >= mean_lo and p <= 0.05
-    report("A6", "deeper and wider search both improve mean reward", ok, time.time() - t0, 300.0)
+    report("A6", "deeper and wider search both improve mean reward", ok, time.perf_counter() - t0, 300.0)
 
 
 def test_a7_initiation_policy_ordering(ddim_outcome):
-    t0 = time.time()
-    always = run_experiment(landscape_config(NEG_DISTANCE, policy="always"))["ctrlz"]
-    random_half = run_experiment(landscape_config(NEG_DISTANCE, policy="random", random_p=0.5))["ctrlz"]
-    reward_narrow = run_experiment(landscape_config(NEG_DISTANCE, window=10))["ctrlz"]
+    t0 = time.perf_counter()
+    always = run_experiment(landscape_config(initiation="always"))["ctrlz"]
+    random_half = run_experiment(landscape_config(initiation="random", random_p=0.5))["ctrlz"]
+    reward_narrow = run_experiment(landscape_config(window=10))["ctrlz"]
 
     ordered = [
         ("always", always),
@@ -307,7 +274,7 @@ def test_a7_initiation_policy_ordering(ddim_outcome):
     outer = sign_test_p(np.array(always.final_rewards) - np.array(ddim_outcome.final_rewards))
     ok = outer <= 0.05
 
-    n = RUNS
+    n = ddim_outcome.stats.runs
     for (_, hi), (_, lo) in zip(ordered, ordered[1:]):
         pooled_se = math.sqrt(
             (hi.stats.std_final_reward**2 + lo.stats.std_final_reward**2) / n
@@ -317,11 +284,11 @@ def test_a7_initiation_policy_ordering(ddim_outcome):
     nfes = [ddim_outcome.stats.mean_nfe_avg, random_half.stats.mean_nfe_avg, always.stats.mean_nfe_avg]
     ok = ok and nfes[0] < nfes[1] < nfes[2]
     print(f"    outer sign-test p={outer:.2e}; nfe chain {nfes[0]:.2f} < {nfes[1]:.2f} < {nfes[2]:.2f}")
-    report("A7", "more frequent initiation raises reward and compute", ok, time.time() - t0, 300.0)
+    report("A7", "more frequent initiation raises reward and compute", ok, time.perf_counter() - t0, 300.0)
 
 
 def test_a8_algorithm_invariant_suite(sampler_setup):
-    t0 = time.time()
+    t0 = time.perf_counter()
     sched, mix, cond, _, reward = sampler_setup
     ok = True
     events_seen = 0
@@ -342,23 +309,12 @@ def test_a8_algorithm_invariant_suite(sampler_setup):
     for seed in reversed(range(12)):
         ok = ok and run_ctrlz(starts[seed], cond, mix, CFG, sched, reward, full, seed=seed) == alone[seed]
     ok = ok and events_seen > 0
-    report("A8", "window, dominance, first-step and run-order invariants hold", ok, time.time() - t0, 30.0)
+    report("A8", "window, dominance, first-step and run-order invariants hold", ok, time.perf_counter() - t0, 30.0)
 
 
 def test_a9_harness_io(tmp_path):
-    t0 = time.time()
-    cfg = parse_config(
-        {
-            "schedule": {"train_steps": 1000, "infer_steps": 50, "beta_start": 1e-4, "beta_end": 0.02},
-            "mixture": {"weights": [0.8, 0.2], "means": [[-3.0, 0.0], [3.0, 0.0]], "scales": [0.7, 0.7]},
-            "condition": {"kind": "reweight", "weights": [0.5, 0.5]},
-            "reward": NEG_DISTANCE,
-            "guidance": {"omega": OMEGA, "mode": "cfg"},
-            "strategy": {"name": "ddim"},
-            "seeds": {"master_seed": MASTER_SEED, "runs": 3},
-            "escape": {"target": [3.0, 0.0], "radius": 1.0},
-        }
-    )
+    t0 = time.perf_counter()
+    cfg = landscape_config(runs=3)
     names = ["ddim", "resampling", "zsampling"]
     outcomes = compare(cfg, names)
     write_outputs(tmp_path / "a", outcomes)
@@ -387,4 +343,4 @@ def test_a9_harness_io(tmp_path):
     reconciled = counted == 2 * total_events  # every event lands in both histograms
 
     ok = stable and nfe_ok and reconciled
-    report("A9", "emitted files reproduce accounting and are byte-stable", ok, time.time() - t0, 10.0)
+    report("A9", "emitted files reproduce accounting and are byte-stable", ok, time.perf_counter() - t0, 10.0)

@@ -1,4 +1,4 @@
-"""Golden digests: the byte-stable output files of a short `compare` or `sweep` run.
+"""Golden digests: the byte-stable output files of a short `run`, `compare` or `sweep` run.
 
 Each shipped config runs all five strategies for 8 runs; the sha256 prefixes
 of the four byte-stable files must match the recorded ones. They were
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ctrlz.harness import STRATEGY_NAMES, compare, load_config, parse_config, sweep, write_outputs
+from ctrlz.harness import STRATEGY_NAMES, compare, load_config, parse_config, run_experiment, sweep, write_outputs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FILES = ("runs.csv", "events.jsonl", "summary.json", "histograms.csv")
@@ -89,3 +89,13 @@ def test_initiation_compare_matches_golden_digests(initiation, tmp_path):
     write_outputs(tmp_path, compare(parse_config(doc, runs=8), STRATEGY_NAMES))
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
     assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_INITIATION[initiation]))
+
+
+# two_mode_escape's own strategy cell, as `ctrlz run` executes it.
+GOLDEN_RUN = ("014acea7744945e9", "c6600af69d232fa6", "9539b8d5064f82c9", "e1edeafc5b1ab4e9")
+
+
+def test_run_matches_golden_digests(tmp_path):
+    write_outputs(tmp_path, run_experiment(load_config(CONFIGS / "two_mode_escape.json", runs=8)))
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
+    assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_RUN))

@@ -22,6 +22,7 @@ from ctrlz.harness import (
     ConfigError,
     StrategyConfig,
     compare,
+    load_config,
     parse_config,
     run_experiment,
     sweep,
@@ -355,11 +356,7 @@ def test_bench_worker_set_up_calls_return_the_held_objects(reward, condition):
 
 
 def test_compare_reproduces_reference_nfe_column():
-    doc = base_doc()
-    doc["schedule"]["infer_steps"] = 50
-    doc["schedule"]["train_steps"] = 1000
-    doc["seeds"]["runs"] = 2
-    cfg = parse_config(doc)
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "two_mode_escape.json", runs=2)
     outcomes = compare(cfg, ["ddim", "resampling", "zsampling"])
     assert outcomes["ddim"].stats.mean_nfe_avg == 1.0
     assert outcomes["resampling"].stats.mean_nfe_avg == 2.0
