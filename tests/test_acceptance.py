@@ -1,16 +1,17 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The gates read the shipped landscapes in `configs/`: A1, A2 and A8
-sample two_mode_escape at guidance 1, and A5-A9 run it (and plateau_escape for
-A5's plateau clause) at its own seeds, each variation an override of its
-strategy section. The two-mode battery is shared through module fixtures.
+lines. The gates read the shipped landscapes in `configs/` through conftest.py's
+loader: A1, A2 and A8 sample two_mode_escape at guidance 1, A3 and A4 use its
+schedule, and A5-A9 run it (and plateau_escape for A5's plateau clause) at its
+own seeds, each variation an override of its strategy section. The parsed
+two-mode config is conftest's session fixture `two_mode`, and the battery run
+on it is shared through module fixtures.
 """
 
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +34,10 @@ from ctrlz import (
     run_zsampling,
     stochastic_invert,
 )
-from ctrlz.harness import compare, parse_config, run_experiment, write_outputs
+from ctrlz.harness import compare, run_experiment, write_outputs
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from conftest import landscape_config
+
 CFG = GuidanceConfig(1.0, GuidanceMode.CFG)
 
 
@@ -54,18 +56,6 @@ def sign_test_p(diffs: np.ndarray) -> float:
     if n == 0:
         return 1.0
     return sum(math.comb(n, k) for k in range(pos, n + 1)) / 2.0**n
-
-
-def landscape_config(name="two_mode_escape", runs=None, **strategy):
-    """The shipped config ``configs/<name>.json``, its strategy section updated by ``strategy``."""
-    doc = json.loads((CONFIGS / f"{name}.json").read_text())
-    doc["strategy"].update(strategy)
-    return parse_config(doc, runs=runs)
-
-
-@pytest.fixture(scope="module")
-def two_mode():
-    return landscape_config()
 
 
 @pytest.fixture(scope="module")

@@ -6,16 +6,14 @@ recorded with numpy 2.4.6 on Python 3.11; digests may move with the numpy or
 libm version, so re-record them (with the reason) when those change.
 """
 
-import dataclasses
 import hashlib
-import json
-from pathlib import Path
 
 import pytest
 
-from ctrlz.harness import STRATEGY_NAMES, compare, load_config, parse_config, run_experiment, sweep, write_outputs
+from ctrlz.harness import STRATEGY_NAMES, compare, parse_config, run_experiment, sweep, write_outputs
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from conftest import landscape_config, shipped_doc
+
 FILES = ("runs.csv", "events.jsonl", "summary.json", "histograms.csv")
 
 GOLDEN = {
@@ -37,33 +35,30 @@ GOLDEN_CONDITION = {
 }
 
 
+def digests(tmp_path, outcomes, expected):
+    """Write ``outcomes`` to ``tmp_path`` and compare the sha256 prefix of each byte-stable file with ``expected``."""
+    write_outputs(tmp_path, outcomes)
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
+    assert dict(zip(FILES, got)) == dict(zip(FILES, expected))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_compare_outputs_match_golden_digests(name, tmp_path):
-    cfg = load_config(CONFIGS / f"{name}.json")
-    cfg = dataclasses.replace(cfg, seeds=dataclasses.replace(cfg.seeds, runs=8))
-    write_outputs(tmp_path, compare(cfg, STRATEGY_NAMES))
-    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
-    assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN[name]))
+    digests(tmp_path, compare(landscape_config(name, runs=8), STRATEGY_NAMES), GOLDEN[name])
 
 
 @pytest.mark.parametrize("exploration", sorted(GOLDEN_CFG_PLUS_PLUS))
 def test_cfg_plus_plus_compare_matches_golden_digests(exploration, tmp_path):
-    doc = json.loads((CONFIGS / "two_mode_escape.json").read_text())
+    doc = shipped_doc()
     doc["guidance"]["mode"] = "cfg++"
     doc["strategy"]["exploration_guidance"] = exploration
-    write_outputs(tmp_path, compare(parse_config(doc, runs=8), STRATEGY_NAMES))
-    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
-    assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_CFG_PLUS_PLUS[exploration]))
+    digests(tmp_path, compare(parse_config(doc, runs=8), STRATEGY_NAMES), GOLDEN_CFG_PLUS_PLUS[exploration])
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_CONDITION))
 def test_condition_compare_matches_golden_digests(kind, tmp_path):
-    doc = json.loads((CONFIGS / "two_mode_escape.json").read_text())
-    doc["condition"] = CONDITIONS[kind]
-    doc["reward"] = {"kind": "log_density"}
-    write_outputs(tmp_path, compare(parse_config(doc, runs=8), STRATEGY_NAMES))
-    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
-    assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_CONDITION[kind]))
+    doc = {**shipped_doc(), "condition": CONDITIONS[kind], "reward": {"kind": "log_density"}}
+    digests(tmp_path, compare(parse_config(doc, runs=8), STRATEGY_NAMES), GOLDEN_CONDITION[kind])
 
 # two_mode_escape through the two paths no other golden reaches: a sweep, whose histograms.csv sums four
 # cells, and the ctrlz initiation policies that skip the acceptance pre-check.
@@ -75,20 +70,13 @@ GOLDEN_INITIATION = {
 
 
 def test_sweep_matches_golden_digests(tmp_path):
-    doc = json.loads((CONFIGS / "two_mode_escape.json").read_text())
-    write_outputs(tmp_path, sweep(parse_config(doc, runs=8), [1, 2], [1, 2]))
-    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
-    assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_SWEEP))
+    digests(tmp_path, sweep(landscape_config(runs=8), [1, 2], [1, 2]), GOLDEN_SWEEP)
 
 
 @pytest.mark.parametrize("initiation", sorted(GOLDEN_INITIATION))
 def test_initiation_compare_matches_golden_digests(initiation, tmp_path):
-    doc = json.loads((CONFIGS / "two_mode_escape.json").read_text())
-    doc["strategy"]["initiation"] = initiation
-    doc["strategy"]["random_p"] = 0.5
-    write_outputs(tmp_path, compare(parse_config(doc, runs=8), STRATEGY_NAMES))
-    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
-    assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_INITIATION[initiation]))
+    cfg = landscape_config(runs=8, initiation=initiation, random_p=0.5)
+    digests(tmp_path, compare(cfg, STRATEGY_NAMES), GOLDEN_INITIATION[initiation])
 
 
 # two_mode_escape's own strategy cell, as `ctrlz run` executes it.
@@ -96,6 +84,4 @@ GOLDEN_RUN = ("014acea7744945e9", "c6600af69d232fa6", "9539b8d5064f82c9", "e1ede
 
 
 def test_run_matches_golden_digests(tmp_path):
-    write_outputs(tmp_path, run_experiment(load_config(CONFIGS / "two_mode_escape.json", runs=8)))
-    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()[:16] for f in FILES)
-    assert dict(zip(FILES, got)) == dict(zip(FILES, GOLDEN_RUN))
+    digests(tmp_path, run_experiment(landscape_config(runs=8)), GOLDEN_RUN)

@@ -22,7 +22,6 @@ from ctrlz.harness import (
     ConfigError,
     StrategyConfig,
     compare,
-    load_config,
     parse_config,
     run_experiment,
     sweep,
@@ -32,30 +31,18 @@ from ctrlz.models import Condition, GaussianMixture
 from ctrlz.rewards import LogDensity, NegDistance, Plateau
 from ctrlz.schedule import NoiseSchedule
 
+from conftest import landscape_config, shipped_doc
+
 
 def base_doc(**overrides):
-    doc = {
+    """The shipped two-mode landscape on a short schedule, with a small search and few runs."""
+    return {
+        **shipped_doc(),
         "schedule": {"train_steps": 200, "infer_steps": 20, "beta_start": 1e-4, "beta_end": 0.02},
-        "mixture": {
-            "weights": [0.8, 0.2],
-            "means": [[-3.0, 0.0], [3.0, 0.0]],
-            "scales": [0.7, 0.7],
-        },
-        "condition": {"kind": "reweight", "weights": [0.5, 0.5]},
-        "reward": {"kind": "neg_distance", "target": [3.0, 0.0]},
-        "guidance": {"omega": 2.0, "mode": "cfg"},
-        "strategy": {
-            "name": "ctrlz",
-            "window": 15,
-            "threshold": 0.0,
-            "max_depth": 2,
-            "n_candidates": 2,
-        },
+        "strategy": {"name": "ctrlz", "window": 15, "threshold": 0.0, "max_depth": 2, "n_candidates": 2},
         "seeds": {"master_seed": 5, "runs": 4},
-        "escape": {"target": [3.0, 0.0], "radius": 1.0},
+        **overrides,
     }
-    doc.update(overrides)
-    return doc
 
 
 PLATEAU = {"kind": "plateau", "target": [3.0, 0.0], "inner_radius": 1.0, "outer_radius": 2.0}
@@ -356,7 +343,7 @@ def test_bench_worker_set_up_calls_return_the_held_objects(reward, condition):
 
 
 def test_compare_reproduces_reference_nfe_column():
-    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "two_mode_escape.json", runs=2)
+    cfg = landscape_config(runs=2)
     outcomes = compare(cfg, ["ddim", "resampling", "zsampling"])
     assert outcomes["ddim"].stats.mean_nfe_avg == 1.0
     assert outcomes["resampling"].stats.mean_nfe_avg == 2.0
@@ -558,7 +545,7 @@ def test_cli_runs_a_config_whose_distance_over_variance_overflows(tmp_path):
 
 
 def test_cli_table_stays_narrow_for_large_rewards(tmp_path, capsys):
-    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "plateau_escape.json").read_text())
+    doc = shipped_doc("plateau_escape")
     doc["reward"]["peak_value"] = 1e100
     doc["schedule"]["infer_steps"] = 20
     doc["strategy"]["window"] = 10
@@ -633,7 +620,7 @@ def test_benchmark_tracer_finds_every_site(tmp_path):
     root = Path(__file__).resolve().parents[1]
     src = str(Path(ctrlz.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, str(root / "bench")))}
-    config = str(root / "configs" / "two_mode_escape.json")
+    config = str(write_config(tmp_path, shipped_doc()))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", TRACED_COMPARE, config, str(tmp_path / "out")],
         capture_output=True,
@@ -675,10 +662,10 @@ DELETE = "<delete>"
 
 
 def fuzz_doc(reward: str) -> dict:
+    """The shipped two-mode mixture and condition, with ``reward`` and a tiny schedule, search and run count."""
     return {
+        **shipped_doc(),
         "schedule": {"train_steps": 20, "infer_steps": 5},
-        "mixture": {"weights": [0.8, 0.2], "means": [[-3.0, 0.0], [3.0, 0.0]], "scales": [0.7, 0.7]},
-        "condition": {"kind": "reweight", "weights": [0.5, 0.5]},
         "reward": dict(FUZZ_REWARDS[reward]),
         "guidance": {"omega": 2.0},
         "strategy": {"name": "ctrlz", "window": 4, "max_depth": 2, "n_candidates": 2},

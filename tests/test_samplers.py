@@ -15,7 +15,6 @@ from ctrlz import (
     GuidanceMode,
     InitiationPolicy,
     LatentState,
-    NegDistance,
     NoiseSchedule,
     Plateau,
     RunResult,
@@ -34,7 +33,6 @@ from ctrlz import (
 from ctrlz.dynamics import ConfigError
 
 CFG = GuidanceConfig(1.0, GuidanceMode.CFG)
-REWARD = NegDistance(np.array([3.0, 0.0]))
 
 
 def start_state(sched, seed=7):
@@ -176,17 +174,17 @@ def test_zsampling_matches_reference_loop(omega, guidance, cond, sched50, two_mo
         assert res == reference_zsampling(x_T, cond, two_mode_mix, guidance, sched50, inversion, seed)
 
 
-def test_sop_nfe_accounting(sched50, two_mode_mix, balanced_cond):
-    res4 = run_sop(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, 4, seed=5)
+def test_sop_nfe_accounting(sched50, two_mode_mix, balanced_cond, two_mode_reward):
+    res4 = run_sop(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, 4, seed=5)
     assert res4.nfe_total == 5 + 49 * 9
     assert res4.nfe_avg == pytest.approx(8.92)
-    res1 = run_sop(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, 1, seed=5)
+    res1 = run_sop(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, 1, seed=5)
     assert res1.nfe_total == 149
     assert res1.nfe_avg == pytest.approx(2.98)
     assert res4.reward_calls == 50 * 5 and res1.reward_calls == 50 * 2
 
 
-def test_sop_selected_score_dominates_default(sched50, two_mode_mix, balanced_cond, monkeypatch):
+def test_sop_selected_score_dominates_default(sched50, two_mode_mix, balanced_cond, two_mode_reward, monkeypatch):
     observed = []
     real_score = samplers_mod.score
 
@@ -197,7 +195,7 @@ def test_sop_selected_score_dominates_default(sched50, two_mode_mix, balanced_co
 
     monkeypatch.setattr(samplers_mod, "score", spy)
     n = 3
-    res = run_sop(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, n, seed=5)
+    res = run_sop(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, n, seed=5)
     assert len(observed) == 50 * (n + 1)
     for step in range(50):
         group = observed[step * (n + 1) : (step + 1) * (n + 1)]
@@ -215,16 +213,18 @@ def default_params(**overrides):
 
 
 RUNNERS = {
-    "ddim": lambda x_T, cond, mix, sched: run_ddim(x_T, cond, mix, CFG, sched, seed=3),
-    "resampling": lambda x_T, cond, mix, sched: run_resampling(x_T, cond, mix, CFG, sched, seed=3),
-    "zsampling": lambda x_T, cond, mix, sched: run_zsampling(x_T, cond, mix, CFG, sched, seed=3),
-    "sop": lambda x_T, cond, mix, sched: run_sop(x_T, cond, mix, CFG, sched, REWARD, 4, seed=3),
-    "ctrlz": lambda x_T, cond, mix, sched: run_ctrlz(x_T, cond, mix, CFG, sched, REWARD, default_params(), seed=3),
+    "ddim": lambda x_T, cond, mix, sched, reward: run_ddim(x_T, cond, mix, CFG, sched, seed=3),
+    "resampling": lambda x_T, cond, mix, sched, reward: run_resampling(x_T, cond, mix, CFG, sched, seed=3),
+    "zsampling": lambda x_T, cond, mix, sched, reward: run_zsampling(x_T, cond, mix, CFG, sched, seed=3),
+    "sop": lambda x_T, cond, mix, sched, reward: run_sop(x_T, cond, mix, CFG, sched, reward, 4, seed=3),
+    "ctrlz": lambda x_T, cond, mix, sched, reward: run_ctrlz(
+        x_T, cond, mix, CFG, sched, reward, default_params(), seed=3
+    ),
 }
 
 
 @pytest.mark.parametrize("strategy", sorted(RUNNERS))
-def test_reported_counts_equal_calls(strategy, sched50, two_mode_mix, balanced_cond, monkeypatch):
+def test_reported_counts_equal_calls(strategy, sched50, two_mode_mix, balanced_cond, two_mode_reward, monkeypatch):
     # Count the calls themselves, so the oracle does not depend on the run's own counters.
     calls = {"predict": 0, "score": 0}
 
@@ -238,36 +238,36 @@ def test_reported_counts_equal_calls(strategy, sched50, two_mode_mix, balanced_c
     monkeypatch.setattr(samplers_mod, "predict", counting("predict", samplers_mod.predict))
     monkeypatch.setattr(samplers_mod, "score", counting("score", samplers_mod.score))
     # From this start, ctrlz explores 16 times and ends both on the threshold and at the depth cap.
-    res = RUNNERS[strategy](start_state(sched50, 3), balanced_cond, two_mode_mix, sched50)
+    res = RUNNERS[strategy](start_state(sched50, 3), balanced_cond, two_mode_mix, sched50, two_mode_reward)
     assert (res.nfe_total, res.reward_calls) == (calls["predict"], calls["score"])
-    assert RUNNERS[strategy](start_state(sched50, 3), balanced_cond, two_mode_mix, sched50) == res
+    assert RUNNERS[strategy](start_state(sched50, 3), balanced_cond, two_mode_mix, sched50, two_mode_reward) == res
 
 
-def test_ctrlz_zero_window_is_bitwise_ddim(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_zero_window_is_bitwise_ddim(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     x_T = start_state(sched50)
-    res = run_ctrlz(x_T, balanced_cond, two_mode_mix, CFG, sched50, REWARD, default_params(window=0), seed=7)
+    res = run_ctrlz(x_T, balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, default_params(window=0), seed=7)
     ref = run_ddim(x_T, balanced_cond, two_mode_mix, CFG, sched50, seed=7)
     assert res == ref
     assert res.nfe_avg == 1.0 and res.reward_calls == 0
 
 
-def test_ctrlz_always_shallow_nfe_identity(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_always_shallow_nfe_identity(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     params = default_params(window=50, max_depth=1, n_candidates=1, initiation=InitiationPolicy.ALWAYS)
-    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=7)
+    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, params, seed=7)
     assert res.nfe_total == 149
     assert res.nfe_avg == pytest.approx(2.98)
     assert len(res.events) == 50
 
 
-def test_ctrlz_first_step_never_triggers_reward_based(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_first_step_never_triggers_reward_based(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     params = default_params(window=50)
-    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=7)
+    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, params, seed=7)
     assert all(ev.t != 50 for ev in res.events)
 
 
-def test_ctrlz_window_semantics_and_reward_accounting(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_window_semantics_and_reward_accounting(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     params = default_params(window=12)
-    res = run_ctrlz(start_state(sched50, 5), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=7)
+    res = run_ctrlz(start_state(sched50, 5), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, params, seed=7)
     assert res.events, "this start should explore inside the window"
     assert all(ev.t > 50 - 12 for ev in res.events)
     candidate_calls = sum(ev.candidates_evaluated for ev in res.events)
@@ -275,9 +275,11 @@ def test_ctrlz_window_semantics_and_reward_accounting(sched50, two_mode_mix, bal
     assert len(res.reward_trace) == 12
 
 
-def test_ctrlz_nfe_matches_closed_form(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_nfe_matches_closed_form(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     params = default_params()
-    res = run_ctrlz(start_state(sched50, 3), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=11)
+    res = run_ctrlz(
+        start_state(sched50, 3), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, params, seed=11
+    )
     assert {ev.terminated_by for ev in res.events} == set(TerminatedBy)
     extra = 0
     for ev in res.events:
@@ -287,13 +289,13 @@ def test_ctrlz_nfe_matches_closed_form(sched50, two_mode_mix, balanced_cond):
     assert res.nfe_total == 50 + extra
 
 
-def test_ctrlz_event_invariants(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_event_invariants(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     params = default_params()
     events = []
     for seed in range(10):
         res = run_ctrlz(
             start_state(sched50, seed), balanced_cond, two_mode_mix, CFG,
-            sched50, REWARD, params, seed=seed,
+            sched50, two_mode_reward, params, seed=seed,
         )
         events.extend(res.events)
     assert events, "expected at least one exploration across these seeds"
@@ -306,9 +308,9 @@ def test_ctrlz_event_invariants(sched50, two_mode_mix, balanced_cond):
             assert ev.depths_tried == params.max_depth
 
 
-def test_ctrlz_unreachable_threshold_always_hits_depth_cap(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_unreachable_threshold_always_hits_depth_cap(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     params = default_params(window=10, threshold=1e6, max_depth=2, n_candidates=2)
-    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=7)
+    res = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, params, seed=7)
     # First eligible step accepts against -inf; every later one explores to the cap.
     assert len(res.events) == 9
     for ev in res.events:
@@ -329,28 +331,28 @@ def test_ctrlz_treats_a_tie_as_a_stall(sched50, two_mode_mix, balanced_cond):
         assert ev.depths_tried == 2
 
 
-def test_ctrlz_run_order_does_not_change_results(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_run_order_does_not_change_results(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     params = default_params()
-    alone = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=21)
-    run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=22)
-    after = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, params, seed=21)
+    alone = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, params, seed=21)
+    run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, params, seed=22)
+    after = run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, params, seed=21)
     assert after == alone
 
 
-def test_ctrlz_random_policy_edge_probabilities(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_random_policy_edge_probabilities(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     x_T = start_state(sched50)
     never = run_ctrlz(
-        x_T, balanced_cond, two_mode_mix, CFG, sched50, REWARD,
+        x_T, balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward,
         default_params(initiation=InitiationPolicy.RANDOM, random_p=0.0), seed=7,
     )
     ref = run_ddim(x_T, balanced_cond, two_mode_mix, CFG, sched50, seed=7)
     assert never == ref
     surely = run_ctrlz(
-        x_T, balanced_cond, two_mode_mix, CFG, sched50, REWARD,
+        x_T, balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward,
         default_params(initiation=InitiationPolicy.RANDOM, random_p=1.0), seed=7,
     )
     always = run_ctrlz(
-        x_T, balanced_cond, two_mode_mix, CFG, sched50, REWARD,
+        x_T, balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward,
         default_params(initiation=InitiationPolicy.ALWAYS), seed=7,
     )
     # Identical search behavior; only the recorded trigger cause differs.
@@ -362,18 +364,18 @@ def test_ctrlz_random_policy_edge_probabilities(sched50, two_mode_mix, balanced_
     assert all(ev.trigger == "always" for ev in always.events)
 
 
-def test_ctrlz_rejects_bad_arguments(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_rejects_bad_arguments(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     with pytest.raises(ValueError):
         run_ctrlz(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, None, default_params(), seed=7)
     with pytest.raises(ValueError):
         run_ctrlz(
-            start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD,
+            start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward,
             default_params(window=51), seed=7,
         )
     with pytest.raises(ValueError):
         run_sop(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, None, 4, seed=7)
     with pytest.raises(ValueError):
-        run_sop(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, REWARD, 0, seed=7)
+        run_sop(start_state(sched50), balanced_cond, two_mode_mix, CFG, sched50, two_mode_reward, 0, seed=7)
     for field, value in (("window", -1), ("n_candidates", 0), ("max_depth", 0), ("random_p", 1.5)):
         with pytest.raises(ValueError) as err:
             CtrlZParams(**{field: value})
@@ -403,7 +405,7 @@ def test_ctrlz_params_numeric_knobs_follow_one_rule():
         CtrlZParams(guidance=CFG)
 
 
-def test_ctrlz_params_take_enum_values(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_params_take_enum_values(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     g_pp = GuidanceConfig(2.5, GuidanceMode.CFG_PLUS_PLUS)
     pairs = [
         (CFG, {"initiation": "always"}, {"initiation": InitiationPolicy.ALWAYS}),
@@ -417,8 +419,8 @@ def test_ctrlz_params_take_enum_values(sched50, two_mode_mix, balanced_cond):
     for guidance, by_value, by_member in pairs:
         a, b = default_params(**by_value), default_params(**by_member)
         assert a == b
-        assert run_ctrlz(x_T, balanced_cond, two_mode_mix, guidance, sched50, REWARD, a, seed=7) == run_ctrlz(
-            x_T, balanced_cond, two_mode_mix, guidance, sched50, REWARD, b, seed=7
+        assert run_ctrlz(x_T, balanced_cond, two_mode_mix, guidance, sched50, two_mode_reward, a, seed=7) == run_ctrlz(
+            x_T, balanced_cond, two_mode_mix, guidance, sched50, two_mode_reward, b, seed=7
         )
 
 
@@ -445,10 +447,10 @@ def test_ctrlz_threshold_beyond_the_float_range_is_a_config_error():
 
 
 @pytest.mark.parametrize("strategy", sorted(RUNNERS))
-def test_samplers_reject_misplaced_start(strategy, sched50, two_mode_mix, balanced_cond):
+def test_samplers_reject_misplaced_start(strategy, sched50, two_mode_mix, balanced_cond, two_mode_reward):
     bad = LatentState(np.zeros(2), 10)
     with pytest.raises(ValueError, match="start state must sit at level 50, got 10"):
-        RUNNERS[strategy](bad, balanced_cond, two_mode_mix, sched50)
+        RUNNERS[strategy](bad, balanced_cond, two_mode_mix, sched50, two_mode_reward)
 
 
 def test_cfg_plus_plus_changes_trajectories(sched50, two_mode_mix, balanced_cond):
@@ -460,15 +462,15 @@ def test_cfg_plus_plus_changes_trajectories(sched50, two_mode_mix, balanced_cond
     assert not np.array_equal(a.x0, b.x0)
 
 
-def test_ctrlz_partial_cfg_mode_differs_from_same(sched50, two_mode_mix, balanced_cond):
+def test_ctrlz_partial_cfg_mode_differs_from_same(sched50, two_mode_mix, balanced_cond, two_mode_reward):
     x_T = start_state(sched50)
     g_pp = GuidanceConfig(2.5, GuidanceMode.CFG_PLUS_PLUS)
     same = run_ctrlz(
-        x_T, balanced_cond, two_mode_mix, g_pp, sched50, REWARD,
+        x_T, balanced_cond, two_mode_mix, g_pp, sched50, two_mode_reward,
         default_params(), seed=7,
     )
     hybrid = run_ctrlz(
-        x_T, balanced_cond, two_mode_mix, g_pp, sched50, REWARD,
+        x_T, balanced_cond, two_mode_mix, g_pp, sched50, two_mode_reward,
         default_params(exploration_guidance=ExplorationGuidance.CFG_IN_EXPLORATION), seed=7,
     )
     assert not np.array_equal(same.x0, hybrid.x0)
