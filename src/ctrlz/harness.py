@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import errno
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -102,6 +103,10 @@ def _vector(value: Any, path: str, dim: int | None = None) -> tuple[float, ...]:
         raise ConfigError(path, "expected a nonempty list of numbers")
     if dim is not None and len(value) != dim:
         raise ConfigError(path, f"expected {dim} numbers, the dimension of the mixture means")
+    # One pass over a list of finite exact floats, what JSON gives; any other list is checked entry by entry,
+    # so the first bad entry is named by its index.
+    if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+        return tuple(value)
     return tuple(_number(v, path, i) for i, v in enumerate(value))
 
 
@@ -196,7 +201,7 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     mx = _section(doc, "mixture")
     weights = _vector(_get(mx, "weights", "config.mixture"), "config.mixture.weights")
     means_raw = _get(mx, "means", "config.mixture")
-    if not isinstance(means_raw, Sequence) or not means_raw:
+    if not isinstance(means_raw, Sequence) or isinstance(means_raw, (str, bytes)) or not means_raw:
         raise ConfigError("config.mixture.means", "expected a nonempty list of vectors")
     dim = len(_vector(means_raw[0], "config.mixture.means[0]"))
     means = tuple(_vector(m, f"config.mixture.means[{i}]", dim) for i, m in enumerate(means_raw))

@@ -58,6 +58,17 @@ def refuse_allocation(num_steps, beta_start, beta_end):
 OUT_OF_MEMORY = lambda d: d["schedule"].update(train_steps=10**11)  # noqa: E731
 
 
+def bad_mean_entry(value):
+    """Make the means two 1024-entry rows, with ``value`` at index 700 of the first."""
+
+    def mutate(d):
+        row = [0.5] * 1024
+        row[700] = value
+        d["mixture"].update(means=[row, [-0.5] * 1024])
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate,field",
     [
@@ -77,6 +88,12 @@ OUT_OF_MEMORY = lambda d: d["schedule"].update(train_steps=10**11)  # noqa: E731
             lambda d: d["mixture"]["means"][1].__setitem__(0, math.inf), "config.mixture.means[1][0]", id="mean-inf"
         ),
         pytest.param(lambda d: d["mixture"].update(scales=[0.7, math.inf]), "config.mixture.scales[1]", id="scale-inf"),
+        # One bad entry in a long row of floats, which _vector checks in one pass, is still named by its index.
+        *(
+            pytest.param(bad_mean_entry(value), "config.mixture.means[0][700]", id=f"mean-700-{name}")
+            for name, value in [("bool", True), ("str", "x"), ("none", None), ("nan", math.nan), ("int-10e309", 10**309)]
+        ),
+        pytest.param(lambda d: d["mixture"].update(means="ab"), "config.mixture.means", id="means-string"),
         pytest.param(lambda d: d["reward"].update(target=[math.inf, 0.0]), "config.reward.target[0]", id="target-inf"),
         pytest.param(
             lambda d: d["mixture"].update(weights=[0.8 + 1e-10, 0.2]), "config.mixture.weights", id="weight-sum-1e-10"
@@ -152,6 +169,17 @@ def test_parse_config_names_offending_field(mutate, field, monkeypatch):
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
     assert err.value.field == field
+
+
+def test_integer_means_build_the_mixture_of_their_float_spelling():
+    floats = parse_config(base_doc()).build()[1]
+    doc = base_doc()
+    doc["mixture"].update(means=[[-3, 0], [3, 0]])
+    ints = parse_config(doc).build()[1]
+    assert floats.means.tolist() == [[-3.0, 0.0], [3.0, 0.0]]
+    for name in ("weights", "means", "scales"):
+        a, b = getattr(ints, name), getattr(floats, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_escape_defaults_to_unit_radius_around_reward_target():
@@ -417,15 +445,17 @@ def test_cli_run_round_trip(tmp_path, capsys):
     assert "ctrlz" in capsys.readouterr().out
 
 
-def test_cli_compare_and_sweep(tmp_path):
+def test_cli_compare_and_sweep(tmp_path, capsys):
     path = write_config(tmp_path, base_doc())
     assert cli_main(["compare", str(path), "--strategies", "ddim,zsampling", "--out", str(tmp_path / "cmp")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"results written to {tmp_path / 'cmp'}"
     rows = (tmp_path / "cmp" / "runs.csv").read_text().splitlines()
     strategies = {row.split(",")[1] for row in rows[1:]}
     assert strategies == {"ddim", "zsampling"}
     assert cli_main(["sweep", str(path), "--dmax", "1,2", "--n", "1", "--out", str(tmp_path / "sw")]) == 0
     summary = json.loads((tmp_path / "sw" / "summary.json").read_text())
     assert set(summary) == {"ctrlz[dmax=1,n=1]", "ctrlz[dmax=2,n=1]"}
+    assert capsys.readouterr().out.splitlines()[-1] == f"results written to {tmp_path / 'sw'}"
 
 
 def test_cli_rejects_a_depth_list_that_is_not_integers(tmp_path, capsys):
@@ -533,13 +563,14 @@ def test_cli_overflowing_summary_statistics_exit_3(tmp_path, capsys):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
-def test_cli_runs_a_config_whose_distance_over_variance_overflows(tmp_path):
+def test_cli_runs_a_config_whose_distance_over_variance_overflows(tmp_path, capsys):
     # Level 0's variance for the 1e-150 scale is 1e-300, so sq / var_t overflows to the right -inf logit.
     doc = base_doc(strategy={"name": "zsampling"}, seeds={"master_seed": 0, "runs": 2})
     doc["schedule"].update(infer_steps=10)
     doc["mixture"].update(means=[[-2e4, 0.0], [3.0, 0.0]], scales=[1e-150, 0.7])
     path = write_config(tmp_path, doc)
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"results written to {tmp_path / 'out'}"
 
 
 def test_cli_table_stays_narrow_for_large_rewards(tmp_path, capsys):
