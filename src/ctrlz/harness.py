@@ -98,8 +98,12 @@ def _number(value: Any, path: str, index: int | None = None) -> float:
     return float(value)
 
 
+def _nonempty_list(value: Any) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes)) and len(value) > 0
+
+
 def _vector(value: Any, path: str, dim: int | None = None) -> tuple[float, ...]:
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)) or not value:
+    if not _nonempty_list(value):
         raise ConfigError(path, "expected a nonempty list of numbers")
     if dim is not None and len(value) != dim:
         raise ConfigError(path, f"expected {dim} numbers, the dimension of the mixture means")
@@ -201,7 +205,7 @@ def parse_config(doc: Mapping[str, Any], master_seed: int | None = None, runs: i
     mx = _section(doc, "mixture")
     weights = _vector(_get(mx, "weights", "config.mixture"), "config.mixture.weights")
     means_raw = _get(mx, "means", "config.mixture")
-    if not isinstance(means_raw, Sequence) or isinstance(means_raw, (str, bytes)) or not means_raw:
+    if not _nonempty_list(means_raw):
         raise ConfigError("config.mixture.means", "expected a nonempty list of vectors")
     dim = len(_vector(means_raw[0], "config.mixture.means[0]"))
     means = tuple(_vector(m, f"config.mixture.means[{i}]", dim) for i, m in enumerate(means_raw))
