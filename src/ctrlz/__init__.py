@@ -12,12 +12,7 @@ from .dynamics import (
     guided_epsilon,
     stochastic_invert,
 )
-from .models import (
-    Condition,
-    GaussianMixture,
-    exact_epsilon,
-    predict,
-)
+from .models import Condition, GaussianMixture, exact_epsilon, predict
 from .rewards import LogDensity, NegDistance, Plateau, RewardSpec, score
 from .samplers import (
     CtrlZParams,

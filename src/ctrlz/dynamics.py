@@ -118,8 +118,7 @@ def clean_estimate(x_t: LatentState, eps: np.ndarray, sched: NoiseSchedule) -> n
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != x_t.x.shape:
         raise ValueError("eps dimension mismatch")
-    ab = sched.alpha_bars[x_t.t]
-    return (x_t.x - math.sqrt(1.0 - ab) * eps) / math.sqrt(ab)
+    return (x_t.x - sched.sqrt_one_minus_alpha_bars[x_t.t] * eps) / sched.sqrt_alpha_bars[x_t.t]
 
 
 def ddim_step(
@@ -136,8 +135,8 @@ def ddim_step(
     eps_noise = np.asarray(eps_noise, dtype=np.float64)
     if x0_hat.shape != x_t.x.shape or eps_noise.shape != x_t.x.shape:
         raise ValueError("clean estimate or eps dimension mismatch")
-    ab_prev = sched.alpha_bars[x_t.t - 1]
-    return LatentState(math.sqrt(ab_prev) * x0_hat + math.sqrt(1.0 - ab_prev) * eps_noise, x_t.t - 1)
+    t = x_t.t - 1
+    return LatentState(sched.sqrt_alpha_bars[t] * x0_hat + sched.sqrt_one_minus_alpha_bars[t] * eps_noise, t)
 
 
 def stochastic_invert(
@@ -176,10 +175,8 @@ def deterministic_invert(
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != x_prev.x.shape:
         raise ValueError("eps dimension mismatch")
-    ab_t = sched.alpha_bars[t]
-    ab_prev = sched.alpha_bars[t - 1]
-    scale = math.sqrt(ab_t / ab_prev)
-    coeff = math.sqrt(1.0 - ab_t) - scale * math.sqrt(1.0 - ab_prev)
+    scale = math.sqrt(sched.alpha_bars[t] / sched.alpha_bars[t - 1])
+    coeff = sched.sqrt_one_minus_alpha_bars[t] - scale * sched.sqrt_one_minus_alpha_bars[t - 1]
     return LatentState(scale * x_prev.x + coeff * eps, t)
 
 

@@ -12,7 +12,7 @@ import shutil
 import tempfile
 import time
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -470,10 +470,10 @@ def write_outputs(out_dir: str | Path, outcomes: Mapping[str, StrategyOutcome]) 
             for label, outcome in outcomes.items():
                 for i, res in enumerate(outcome.results):
                     for ev in res.events:
-                        record = {**asdict(ev), "terminated_by": ev.terminated_by.value, "run_index": i, "strategy": label}
+                        record = {**vars(ev), "terminated_by": ev.terminated_by.value, "run_index": i, "strategy": label}
                         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-        summary = {label: asdict(outcome.stats) for label, outcome in outcomes.items()}
+        summary = {label: vars(outcome.stats) for label, outcome in outcomes.items()}
         with open(staging / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -88,44 +88,45 @@ class Condition:
 UNCONDITIONAL = Condition()
 
 
-@functools.lru_cache(maxsize=2)
-def _level_table(mix: GaussianMixture, cond: Condition, sched: NoiseSchedule) -> tuple[np.ndarray, tuple]:
-    """The level-only terms of ``exact_epsilon`` for one (mixture, condition, schedule).
+@functools.lru_cache(maxsize=1)
+def _level_table(mix: GaussianMixture, sched: NoiseSchedule) -> tuple:
+    """``rows[t] = (var_t, dim * log(2 pi var_t))``, the level-only terms of ``exact_epsilon``.
 
-    Returns ``(log w, rows)`` where ``rows[t]`` is ``(var_t, dim * log(2 pi
-    var_t), -sqrt(1 - ab_t))``, each computed with the expression
-    ``exact_epsilon`` would otherwise evaluate per call. Only K-vectors and
-    scalars are held: a (K, d) array per level would dwarf the mixture itself.
-    Keys are identities (the three types compare by identity). Two entries
-    cover one experiment, a condition and the unconditional branch; each
-    entry keeps its mixture alive until evicted.
+    Only K-vectors are held: a (K, d) array per level would dwarf the mixture.
+    Keys are identities (both types compare by identity), so one entry covers
+    one experiment; it keeps its mixture alive until evicted.
     """
-    w = cond.effective_weights(mix)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w)
-    scales_sq = mix.scales**2
     rows = []
     for ab in sched.alpha_bars:
-        var_t = ab * scales_sq + (1.0 - ab)
+        var_t = ab * mix.scales**2 + (1.0 - ab)
         log_norm = mix.dim * np.log(2.0 * math.pi * var_t)
         var_t.setflags(write=False)  # every caller shares the cached arrays
         log_norm.setflags(write=False)
-        rows.append((var_t, log_norm, -math.sqrt(1.0 - ab)))
+        rows.append((var_t, log_norm))
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=2)
+def _log_weights(mix: GaussianMixture, cond: Condition) -> np.ndarray:
+    """``log w`` of the conditioned mixture; two entries cover an experiment's condition and unconditional branch."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(cond.effective_weights(mix))
     log_w.setflags(write=False)
-    return log_w, tuple(rows)
+    return log_w
 
 
-def _geometry(x_t: LatentState, mix: GaussianMixture, sched: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """The condition-free part of ``exact_epsilon``: ``diff = sqrt(ab_t) * means - x``,
-    built in place so that a pass allocates one (K, d) array, and its squared row
-    norms, shared by both guidance branches of a pass."""
+def _geometry(x_t: LatentState, mix: GaussianMixture, sched: NoiseSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The condition-free part of ``exact_epsilon``, shared by both guidance branches of a pass:
+    ``diff = sqrt(ab_t) * means - x``, built in place so that a pass allocates one (K, d) array,
+    ``var_t``, and the logits' half-quadratic term ``0.5 * (dim * log(2 pi var_t) + |diff|**2 / var_t)``."""
     if x_t.t > sched.num_steps:
         raise ValueError(f"level {x_t.t} outside schedule")
     if x_t.dim != mix.dim:
         raise ValueError("state dimension does not match mixture")
-    diff = math.sqrt(sched.alpha_bars[x_t.t]) * mix.means
+    var_t, log_norm = _level_table(mix, sched)[x_t.t]
+    diff = sched.sqrt_alpha_bars[x_t.t] * mix.means
     diff -= x_t.x
-    return diff, np.einsum("kd,kd->k", diff, diff)
+    return diff, var_t, 0.5 * (log_norm + np.einsum("kd,kd->k", diff, diff) / var_t)
 
 
 def exact_epsilon(
@@ -133,7 +134,7 @@ def exact_epsilon(
     cond: Condition,
     mix: GaussianMixture,
     sched: NoiseSchedule,
-    geometry: tuple[np.ndarray, np.ndarray] | None = None,
+    geometry: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Exact noise prediction for the conditioned mixture at the state's level.
 
@@ -145,17 +146,15 @@ def exact_epsilon(
     ``_geometry(x_t, mix, sched)`` when the caller already holds it; by
     default it is computed here.
     """
-    diff, sq = _geometry(x_t, mix, sched) if geometry is None else geometry
-    log_w, rows = _level_table(mix, cond, sched)
-    var_t, log_norm, neg_noise_scale = rows[x_t.t]
-    logits = log_w - 0.5 * (log_norm + sq / var_t)
-    top = logits.max()
+    diff, var_t, half_quad = _geometry(x_t, mix, sched) if geometry is None else geometry
+    logits = _log_weights(mix, cond) - half_quad
+    top = np.maximum.reduce(logits)
     if not top > -math.inf:
         raise NonFiniteError(f"no mixture component has a finite log-responsibility at level {x_t.t}")
     logits -= top
     resp = np.exp(logits)
-    resp /= resp.sum()
-    return neg_noise_scale * ((resp / var_t) @ diff)
+    resp /= np.add.reduce(resp)
+    return -sched.sqrt_one_minus_alpha_bars[x_t.t] * ((resp / var_t) @ diff)
 
 
 def predict(
@@ -176,9 +175,6 @@ def predict(
     eps_cond = exact_epsilon(x_t, cond, mix, sched, geometry)
     eps_uncond = eps_cond if cond.weights is None else exact_epsilon(x_t, UNCONDITIONAL, mix, sched, geometry)
     eps = guided_epsilon(eps_cond, eps_uncond, guidance.omega)
-    if x_t.t == 0:
-        x0_hat = x_t.x.copy()
-    else:
-        x0_hat = clean_estimate(x_t, eps, sched)
+    x0_hat = x_t.x.copy() if x_t.t == 0 else clean_estimate(x_t, eps, sched)
     eps_noise = eps_uncond if guidance.mode is GuidanceMode.CFG_PLUS_PLUS else eps
     return Prediction(eps, x0_hat, eps_noise)

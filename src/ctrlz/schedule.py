@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -36,6 +38,16 @@ class NoiseSchedule:
         abars.setflags(write=False)
         object.__setattr__(self, "alpha_bars", abars)
         object.__setattr__(self, "num_steps", abars.size - 1)
+
+    @functools.cached_property
+    def sqrt_alpha_bars(self) -> tuple[float, ...]:
+        """``math.sqrt(ab_t)`` per level, built on first read; not part of init, repr or equality."""
+        return tuple(map(math.sqrt, self.alpha_bars.tolist()))
+
+    @functools.cached_property
+    def sqrt_one_minus_alpha_bars(self) -> tuple[float, ...]:
+        """``math.sqrt(1.0 - ab_t)`` per level, built on first read; not part of init, repr or equality."""
+        return tuple(math.sqrt(1.0 - ab) for ab in self.alpha_bars.tolist())
 
 
 def build_linear_schedule(num_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:

@@ -303,19 +303,22 @@ def test_compare_builds_the_domain_once_and_binds_each_strategy_once(monkeypatch
     calls = count_calls(monkeypatch, "build_linear_schedule", "_sampler")
     cfg = parse_config(base_doc(), runs=1)
     ctrlz.models._level_table.cache_clear()
+    ctrlz.models._log_weights.cache_clear()
     for _ in range(2):
         compare(cfg, STRATEGY_NAMES)
     # parse_config builds the schedule and checks the strategy; each compare binds each strategy once.
     assert calls == {"build_linear_schedule": 1, "_sampler": 1 + 2 * len(STRATEGY_NAMES)}
-    # One level table per (mixture, condition, schedule): the reweighted condition and the
-    # unconditional branch, shared by both compares. Each holds K-vectors and scalars, never a (K, d) array.
-    tables = ctrlz.models._level_table.cache_info()
-    assert (tables.misses, tables.currsize) == (2, 2) and tables.hits > 0
+    # One level table per (mixture, schedule) and one log w per condition (the reweighted condition and
+    # the unconditional branch), all shared by both compares. They hold K-vectors, never a (K, d) array.
+    tables, log_ws = ctrlz.models._level_table.cache_info(), ctrlz.models._log_weights.cache_info()
+    assert (tables.misses, tables.currsize) == (1, 1) and tables.hits > 0
+    assert (log_ws.misses, log_ws.currsize) == (2, 2) and log_ws.hits > 0
     sched, mix, cond, _, _ = cfg.build()
-    log_w, rows = ctrlz.models._level_table(mix, cond, sched)
+    rows = ctrlz.models._level_table(mix, sched)
     assert len(rows) == sched.num_steps + 1
-    for entry in (log_w, *(value for row in rows for value in row)):
-        assert np.shape(entry) in ((), (mix.n_components,))
+    log_w = [ctrlz.models._log_weights(mix, c) for c in (cond, ctrlz.models.UNCONDITIONAL)]
+    for entry in (*log_w, *(value for row in rows for value in row)):
+        assert entry.shape == (mix.n_components,) and not entry.flags.writeable
 
 
 def test_parse_config_builds_the_domain_once_and_runs_reuse_it(monkeypatch):

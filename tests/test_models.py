@@ -44,8 +44,8 @@ def posterior_mean_oracle(mix, weights, x, ab):
 
 def level_terms(mix, t, sched):
     """The denoiser's diffused component means (its geometry at x = 0) and component variances at level ``t``."""
-    diff, _ = ctrlz.models._geometry(LatentState(np.zeros(mix.dim), t), mix, sched)
-    var_t = ctrlz.models._level_table(mix, UNCOND, sched)[1][t][0]
+    diff, _, _ = ctrlz.models._geometry(LatentState(np.zeros(mix.dim), t), mix, sched)
+    var_t = ctrlz.models._level_table(mix, sched)[t][0]
     return diff, var_t
 
 
@@ -370,6 +370,21 @@ def test_high_dim_denoiser_is_bit_identical_to_reference():
     mix, cond, sched, x = high_dim_case()
     guidances = [GuidanceConfig(2.0, GuidanceMode.CFG), GuidanceConfig(2.0, GuidanceMode.CFG_PLUS_PLUS)]
     assert_denoiser_matches_reference(mix, cond, x, sched, guidances)
+
+
+@pytest.mark.parametrize("landscape", ["two_mode", "high_dim"])
+def test_exact_epsilon_with_a_supplied_geometry_is_bit_identical_to_reference(landscape, request):
+    # The shipped d=2 landscape, and the K=64, d=1024 mixture of the benchmark's denoise_hd workload.
+    if landscape == "two_mode":
+        mix, cond, sched = (request.getfixturevalue(name) for name in ("two_mode_mix", "balanced_cond", "sched50"))
+        x = np.array([0.4, -0.2])
+    else:
+        mix, cond, sched, x = high_dim_case()
+    for t in range(sched.num_steps + 1):
+        state = LatentState(x, t)
+        geometry = ctrlz.models._geometry(state, mix, sched)
+        for c in (cond, UNCOND):
+            assert_same_bits(exact_epsilon(state, c, mix, sched, geometry), reference_exact_epsilon(state, c, mix, sched))
 
 
 def test_predict_allocates_one_mixture_sized_array():

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import math
 
 import mpmath
 import numpy as np
@@ -155,3 +157,37 @@ def test_schedules_compare_and_hash_by_identity():
     b = build_linear_schedule(10, 1e-3, 0.02)
     assert a == a and a != b and not (a == b)
     assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def assert_roots_are_read_only_square_roots(sched):
+    """Both per-level roots equal ``math.sqrt`` of their operand bit for bit, and cannot be rebound."""
+    abars = sched.alpha_bars
+    levels = range(sched.num_steps + 1)
+    assert [r.hex() for r in sched.sqrt_alpha_bars] == [math.sqrt(abars[t]).hex() for t in levels]
+    assert [r.hex() for r in sched.sqrt_one_minus_alpha_bars] == [math.sqrt(1.0 - abars[t]).hex() for t in levels]
+    for name in ("sqrt_alpha_bars", "sqrt_one_minus_alpha_bars"):
+        assert type(getattr(sched, name)) is tuple
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sched, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(sched, name)
+
+
+def test_shipped_schedule_roots_are_read_only_square_roots(sched50):
+    assert_roots_are_read_only_square_roots(sched50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_schedules(), st.data())
+def test_schedule_roots_are_read_only_square_roots(sched, data):
+    assert_roots_are_read_only_square_roots(sched)
+    assert_roots_are_read_only_square_roots(subsample(sched, data.draw(st.integers(1, sched.num_steps))))
+
+
+def test_roots_are_built_on_first_read_and_stay_out_of_repr_and_equality():
+    parent = build_linear_schedule(1000, 1e-4, 0.02)
+    child = subsample(parent, 50)
+    assert not {"sqrt_alpha_bars", "sqrt_one_minus_alpha_bars"} & set(vars(parent))  # subsample reads alpha_bars only
+    assert child.sqrt_alpha_bars is child.sqrt_alpha_bars  # computed once, then held
+    assert "sqrt" not in repr(child)
+    assert [f.name for f in dataclasses.fields(child)] == ["alpha_bars", "num_steps"]
