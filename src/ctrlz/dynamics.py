@@ -80,7 +80,7 @@ class LatentState:
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 1:
             raise ValueError("state vector must be one-dimensional")
-        if not np.isfinite(x).all():
+        if not np.logical_and.reduce(np.isfinite(x)):
             raise NonFiniteError(f"non-finite state at level {self.t}")
         object.__setattr__(self, "x", x)
 
@@ -118,7 +118,8 @@ def clean_estimate(x_t: LatentState, eps: np.ndarray, sched: NoiseSchedule) -> n
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != x_t.x.shape:
         raise ValueError("eps dimension mismatch")
-    return (x_t.x - sched.sqrt_one_minus_alpha_bars[x_t.t] * eps) / sched.sqrt_alpha_bars[x_t.t]
+    root_ab, root_one_minus_ab, _ = sched.root_arrays[x_t.t]
+    return (x_t.x - root_one_minus_ab * eps) / root_ab
 
 
 def ddim_step(
@@ -135,8 +136,8 @@ def ddim_step(
     eps_noise = np.asarray(eps_noise, dtype=np.float64)
     if x0_hat.shape != x_t.x.shape or eps_noise.shape != x_t.x.shape:
         raise ValueError("clean estimate or eps dimension mismatch")
-    t = x_t.t - 1
-    return LatentState(sched.sqrt_alpha_bars[t] * x0_hat + sched.sqrt_one_minus_alpha_bars[t] * eps_noise, t)
+    root_ab, root_one_minus_ab, _ = sched.root_arrays[x_t.t - 1]
+    return LatentState(root_ab * x0_hat + root_one_minus_ab * eps_noise, x_t.t - 1)
 
 
 def stochastic_invert(
@@ -155,7 +156,7 @@ def stochastic_invert(
     noise = np.asarray(noise, dtype=np.float64)
     if noise.shape != x_t.x.shape:
         raise ValueError("noise dimension mismatch")
-    ratio = sched.alpha_bars[x_t.t + delta] / sched.alpha_bars[x_t.t]
+    ratio = sched.alpha_bars.item(x_t.t + delta) / sched.alpha_bars.item(x_t.t)
     x_up = math.sqrt(ratio) * x_t.x + math.sqrt(1.0 - ratio) * noise
     return LatentState(x_up, x_t.t + delta)
 
@@ -175,7 +176,7 @@ def deterministic_invert(
     eps = np.asarray(eps, dtype=np.float64)
     if eps.shape != x_prev.x.shape:
         raise ValueError("eps dimension mismatch")
-    scale = math.sqrt(sched.alpha_bars[t] / sched.alpha_bars[t - 1])
+    scale = math.sqrt(sched.alpha_bars.item(t) / sched.alpha_bars.item(t - 1))
     coeff = sched.sqrt_one_minus_alpha_bars[t] - scale * sched.sqrt_one_minus_alpha_bars[t - 1]
     return LatentState(scale * x_prev.x + coeff * eps, t)
 

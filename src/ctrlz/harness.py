@@ -415,6 +415,10 @@ def compare(cfg: ExperimentConfig, strategies: Sequence[str]) -> dict[str, Strat
             raise ConfigError("strategies", f"unknown strategy {name!r}")
     if len(set(strategies)) != len(strategies):
         raise ConfigError("strategies", f"a strategy is named twice in {list(strategies)}")
+    # A strategy that the config does not name runs at its defaults, which no config field can change.
+    window, steps = CtrlZParams().window, cfg.schedule.value.num_steps
+    if "ctrlz" in strategies and cfg.strategy.name != "ctrlz" and window > steps:
+        raise ConfigError("strategies", f"ctrlz's default window {window} exceeds the {steps} sampling steps")
     chosen = {name: StrategyConfig(name, cfg.strategy.params if cfg.strategy.name == name else {}) for name in strategies}
     return run_experiment(cfg, chosen)
 

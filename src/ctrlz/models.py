@@ -16,11 +16,12 @@ import numpy as np
 
 from .dynamics import ConfigError, GuidanceConfig, GuidanceMode, LatentState, NonFiniteError, Prediction
 from .dynamics import clean_estimate, guided_epsilon
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, read_only
 
 _WEIGHT_TOL = 1e-12
 _MIN_SCALE = 1e-150  # the denoiser takes log(2 * pi * scale**2), so scale**2 must not underflow to 0
 _MAX_SCALE = 1e150  # the denoiser forms 2 * pi * scale**2, which must stay a finite float
+_HALF = read_only(0.5)  # numpy scales by a 0-d array faster than by a float; see NoiseSchedule.root_arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +125,9 @@ def _geometry(x_t: LatentState, mix: GaussianMixture, sched: NoiseSchedule) -> t
     if x_t.dim != mix.dim:
         raise ValueError("state dimension does not match mixture")
     var_t, log_norm = _level_table(mix, sched)[x_t.t]
-    diff = sched.sqrt_alpha_bars[x_t.t] * mix.means
+    diff = sched.root_arrays[x_t.t][0] * mix.means
     diff -= x_t.x
-    return diff, var_t, 0.5 * (log_norm + np.einsum("kd,kd->k", diff, diff) / var_t)
+    return diff, var_t, _HALF * (log_norm + np.einsum("kd,kd->k", diff, diff) / var_t)
 
 
 def exact_epsilon(
@@ -154,7 +155,7 @@ def exact_epsilon(
     logits -= top
     resp = np.exp(logits)
     resp /= np.add.reduce(resp)
-    return -sched.sqrt_one_minus_alpha_bars[x_t.t] * ((resp / var_t) @ diff)
+    return sched.root_arrays[x_t.t][2] * ((resp / var_t) @ diff)
 
 
 def predict(

@@ -68,7 +68,7 @@ RewardSpec = Union[NegDistance, LogDensity, Plateau]
 def score(spec: RewardSpec, cond: Condition, x0_hat: np.ndarray) -> float:
     """Scalar score of a clean estimate; NonFiniteError if the score overflows."""
     x = np.asarray(x0_hat, dtype=np.float64)
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise ValueError("clean estimate must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         value = _raw_score(spec, cond, x)

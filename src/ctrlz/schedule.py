@@ -49,6 +49,20 @@ class NoiseSchedule:
         """``math.sqrt(1.0 - ab_t)`` per level, built on first read; not part of init, repr or equality."""
         return tuple(math.sqrt(1.0 - ab) for ab in self.alpha_bars.tolist())
 
+    @functools.cached_property
+    def root_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per level, the float roots and ``-sqrt(1 - ab_t)`` as read-only 0-d float64 arrays, built on first read:
+        numpy scales a small array by a 0-d array faster than by a float, with the same bits."""
+        pairs = zip(self.sqrt_alpha_bars, self.sqrt_one_minus_alpha_bars)
+        return tuple((read_only(a), read_only(b), read_only(-b)) for a, b in pairs)
+
+
+def read_only(value: float) -> np.ndarray:
+    """``value`` as a 0-d float64 array that cannot be written."""
+    arr = np.array(value, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
 
 def build_linear_schedule(num_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Schedule with betas linearly interpolated from start to end, inclusive."""

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctrlz import (
@@ -17,6 +17,7 @@ from ctrlz import (
     deterministic_invert,
     guided_epsilon,
     stochastic_invert,
+    subsample,
 )
 from ctrlz.dynamics import ConfigError
 
@@ -254,3 +255,54 @@ def test_config_error_keeps_its_message():
     err = ConfigError("omega", "must be a finite number >= 0, got 'x'")
     assert (err.field, err.message) == ("omega", "must be a finite number >= 0, got 'x'")
     assert str(err) == "omega: must be a finite number >= 0, got 'x'"
+
+
+def assert_same_bits(got, expected):
+    """Bit for bit: unlike np.array_equal, this tells -0.0 from 0.0."""
+    assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
+def assert_step_operators_match_float_formulas(sched, x, eps, noise, omega):
+    """Each step operator at every level, and at every inversion distance, against its formula written with
+    ``math.sqrt`` of Python floats: the schedule's cached roots and 0-d operands must not change one bit."""
+    ab = sched.alpha_bars.tolist()
+    top = sched.num_steps
+    for t in range(top + 1):
+        state = LatentState(x, t)
+        if t >= 1:
+            expected = (x - math.sqrt(1.0 - ab[t]) * eps) / math.sqrt(ab[t])
+            assert_same_bits(clean_estimate(state, eps, sched), expected)
+            expected = math.sqrt(ab[t - 1]) * noise + math.sqrt(1.0 - ab[t - 1]) * eps
+            assert_same_bits(ddim_step(state, noise, eps, sched).x, expected)
+        if t < top:
+            scale = math.sqrt(ab[t + 1] / ab[t])
+            coeff = math.sqrt(1.0 - ab[t + 1]) - scale * math.sqrt(1.0 - ab[t])
+            assert_same_bits(deterministic_invert(state, eps, sched).x, scale * x + coeff * eps)
+        for up in range(t, top + 1):
+            ratio = ab[up] / ab[t]
+            expected = math.sqrt(ratio) * x + math.sqrt(1.0 - ratio) * noise
+            assert_same_bits(stochastic_invert(state, up - t, noise, sched).x, expected)
+    assert_same_bits(guided_epsilon(eps, noise, omega), noise + omega * (eps - noise))
+
+
+# The shipped 50-step grid, and a flat step, where deterministic_invert's eps coefficient is exactly 0.0, so a
+# negative eps entry gives -0.0.
+STEP_SCHEDULES = [
+    SCHED,
+    subsample(build_linear_schedule(1000, 1e-4, 0.02), 50),
+    NoiseSchedule(np.array([1.0, 0.8, 0.8, 0.3])),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@example(STEP_SCHEDULES[1], tuple(np.random.default_rng(1024).normal(0.0, 1.5, (3, 1024))), 2.0)  # denoise_hd's d
+@given(
+    st.sampled_from(STEP_SCHEDULES),
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda d: st.tuples(*[st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d).map(np.array)] * 3)
+    ),
+    st.one_of(st.floats(0.0, 10.0), st.integers(0, 10)),
+)
+def test_step_operators_match_their_float_formulas_bit_for_bit(sched, vectors, omega):
+    assert_step_operators_match_float_formulas(sched, *vectors, omega)
+

@@ -281,7 +281,9 @@ def test_compare_checks_every_strategy_before_the_first_run(monkeypatch):
     monkeypatch.setattr(ctrlz.harness, "run_ddim", lambda *args: calls.append(args) or run_ddim(*args))
     with pytest.raises(ConfigError) as err:
         compare(cfg, STRATEGY_NAMES)
-    assert err.value.field == "config.strategy.window"
+    # The config has no window to edit; the strategy list is what the user can change.
+    assert err.value.field == "strategies"
+    assert "ctrlz's default window 40 exceeds the 20 sampling steps" in str(err.value)
     assert calls == []
 
 
@@ -476,6 +478,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "config.mixture.weights" in capsys.readouterr().err
+    # compare gives ctrlz its default window of 40 when the config names another strategy.
+    path = write_config(tmp_path, base_doc(strategy={"name": "ddim"}))
+    assert cli_main(["compare", str(path), "--out", str(tmp_path / "cmp")]) == 2
+    assert "config error: strategies: ctrlz's default window 40 exceeds the 20 sampling steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
