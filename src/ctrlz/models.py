@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ConfigError, GuidanceConfig, GuidanceMode, LatentState, NonFiniteError, Prediction
+from .dynamics import ConfigError, GuidanceConfig, GuidanceMode, LatentState, NonFiniteError, Prediction, all_finite
 from .dynamics import clean_estimate, guided_epsilon
 from .schedule import NoiseSchedule, read_only
 
@@ -46,7 +46,7 @@ class GaussianMixture:
             raise ConfigError("weights", "must be positive and sum to 1")
         if not np.all((s >= _MIN_SCALE) & (s <= _MAX_SCALE)):
             raise ConfigError("scales", f"must lie in [{_MIN_SCALE:g}, {_MAX_SCALE:g}]")
-        if not np.all(np.isfinite(mu)):
+        if not all_finite(mu):
             raise ConfigError("means", "must be finite")
         for arr in (w, mu, s):
             arr.setflags(write=False)
@@ -149,7 +149,9 @@ def exact_epsilon(
     """
     diff, var_t, half_quad = _geometry(x_t, mix, sched) if geometry is None else geometry
     logits = _log_weights(mix, cond) - half_quad
-    top = np.maximum.reduce(logits)
+    # A Python max skips numpy's reduce machinery and is exact: no logit is NaN (log w, finite or -inf, less a
+    # half-quadratic, finite or +inf), and a 0.0/-0.0 tie flips only the sign of a zero logit, which exp maps to 1.
+    top = max(logits.tolist())
     if not top > -math.inf:
         raise NonFiniteError(f"no mixture component has a finite log-responsibility at level {x_t.t}")
     logits -= top
@@ -175,7 +177,7 @@ def predict(
     geometry = _geometry(x_t, mix, sched)
     eps_cond = exact_epsilon(x_t, cond, mix, sched, geometry)
     eps_uncond = eps_cond if cond.weights is None else exact_epsilon(x_t, UNCONDITIONAL, mix, sched, geometry)
-    eps = guided_epsilon(eps_cond, eps_uncond, guidance.omega)
+    eps = guided_epsilon(eps_cond, eps_uncond, guidance.omega_array)
     x0_hat = x_t.x.copy() if x_t.t == 0 else clean_estimate(x_t, eps, sched)
     eps_noise = eps_uncond if guidance.mode is GuidanceMode.CFG_PLUS_PLUS else eps
     return Prediction(eps, x0_hat, eps_noise)

@@ -9,13 +9,13 @@ from typing import Union
 
 import numpy as np
 
-from .dynamics import ConfigError, NonFiniteError
+from .dynamics import ConfigError, NonFiniteError, all_finite
 from .models import Condition, GaussianMixture
 
 
 def _target_copy(target: np.ndarray) -> np.ndarray:
     t = np.array(target, dtype=np.float64)
-    if t.ndim != 1 or not np.all(np.isfinite(t)):
+    if t.ndim != 1 or not all_finite(t):
         raise ValueError("target must be a finite vector")
     t.setflags(write=False)
     return t
@@ -68,7 +68,7 @@ RewardSpec = Union[NegDistance, LogDensity, Plateau]
 def score(spec: RewardSpec, cond: Condition, x0_hat: np.ndarray) -> float:
     """Scalar score of a clean estimate; NonFiniteError if the score overflows."""
     x = np.asarray(x0_hat, dtype=np.float64)
-    if not np.logical_and.reduce(np.isfinite(x)):
+    if not all_finite(x):
         raise ValueError("clean estimate must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         value = _raw_score(spec, cond, x)

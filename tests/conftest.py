@@ -6,8 +6,10 @@ is read only when a test asks for it, so a config that fails to parse errors onl
 """
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctrlz.harness import parse_config
@@ -25,6 +27,17 @@ def landscape_config(name="two_mode_escape", runs=None, **strategy):
     doc = shipped_doc(name)
     doc["strategy"].update(strategy)
     return parse_config(doc, runs=runs)
+
+
+# One NaN or infinite entry, first or last, in vectors of length 1, 2 and 1024: a finiteness check must see every
+# entry. The finite vector near the float limit sums to a non-finite value, so a check by sum or dot product fails it.
+NON_FINITE_VECTORS = [
+    pytest.param(np.insert(np.ones(size - 1), 0 if place == "first" else size - 1, value), id=f"{name}-{place}-{size}")
+    for name, value in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf))
+    for place in ("first", "last")
+    for size in (1, 2, 1024)
+]
+NEAR_FLOAT_LIMIT = np.array([1.7e308, 1.7e308, -1.7e308, -1.7e308])
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from ctrlz import (
     subsample,
 )
 from ctrlz.dynamics import ConfigError
+from conftest import NEAR_FLOAT_LIMIT, NON_FINITE_VECTORS
 
 SCHED = build_linear_schedule(20, 0.01, 0.2)
 
@@ -233,11 +234,14 @@ def test_guidance_omega_is_a_real_number():
     assert GuidanceConfig(2).omega == 2
 
 
-def test_latent_state_rejects_non_finite():
-    with pytest.raises(NonFiniteError):
-        LatentState(np.array([1.0, float("nan")]), 3)
-    with pytest.raises(NonFiniteError):
-        LatentState(np.array([float("inf")]), 1)
+@pytest.mark.parametrize("x", NON_FINITE_VECTORS)
+def test_latent_state_rejects_non_finite(x):
+    with pytest.raises(NonFiniteError, match="non-finite state at level 3"):
+        LatentState(x, 3)
+
+
+def test_latent_state_accepts_entries_near_the_float_limit():
+    assert LatentState(NEAR_FLOAT_LIMIT, 3).x.tobytes() == NEAR_FLOAT_LIMIT.tobytes()
 
 
 def test_latent_state_rejects_a_state_that_is_not_a_vector():

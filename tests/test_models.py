@@ -348,7 +348,18 @@ def denoiser_cases(draw):
     return GaussianMixture(w / w.sum(), means, scales), Condition(cw / cw.sum()), x, omega
 
 
+# Ties that exact_epsilon's top logit must break as the reference does. Means symmetric about x tie the two logits
+# at every level, and a zero condition weight makes a -inf logit. Equal means at x, with 2 pi scale**2 == 0.25, tie
+# both logits at exactly 0 at level 0.
+TIE_SCALE = math.sqrt(0.25 / (2.0 * math.pi))
+assert 2.0 * math.pi * TIE_SCALE**2 == 0.25
+
+
 @settings(max_examples=40, deadline=None)
+@example((GaussianMixture(np.array([0.5, 0.5]), np.array([[-1.0], [1.0]]), np.array([0.7, 0.7])),
+          Condition(np.array([0.0, 1.0])), np.array([0.0]), 2.0))
+@example((GaussianMixture(np.array([0.5, 0.5]), np.array([[0.3], [0.3]]), np.array([TIE_SCALE, TIE_SCALE])),
+          Condition(np.array([0.5, 0.5])), np.array([0.3]), 7.5))
 @given(denoiser_cases())
 def test_denoiser_is_bit_identical_to_reference(case):
     mix, cond, x, omega = case

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import NEAR_FLOAT_LIMIT, NON_FINITE_VECTORS
 from ctrlz import Condition, GaussianMixture, LogDensity, NegDistance, Plateau, score
 
 UNCOND = Condition()
@@ -120,9 +121,15 @@ def test_reward_target_must_be_finite(kind):
         kind(np.array([3.0, float("nan")]))
 
 
-def test_score_rejects_non_finite_points():
-    with pytest.raises(ValueError):
-        score(NegDistance(np.zeros(1)), UNCOND, np.array([float("nan")]))
+@pytest.mark.parametrize("x", NON_FINITE_VECTORS)
+def test_score_rejects_non_finite_points(x):
+    with pytest.raises(ValueError, match="clean estimate must be finite"):
+        score(NegDistance(np.zeros(x.size)), UNCOND, x)
+
+
+def test_score_accepts_a_point_near_the_float_limit():
+    # Beyond the outer radius a zero plateau decays to 0 * (outer / inf), a finite 0.
+    assert score(Plateau(np.zeros(NEAR_FLOAT_LIMIT.size)), UNCOND, NEAR_FLOAT_LIMIT) == 0.0
 
 
 @pytest.mark.parametrize(
