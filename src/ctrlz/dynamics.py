@@ -188,7 +188,7 @@ def deterministic_invert(
     if eps.shape != x_prev.x.shape:
         raise ValueError("eps dimension mismatch")
     scale = math.sqrt(sched.alpha_bars.item(t) / sched.alpha_bars.item(t - 1))
-    coeff = sched.sqrt_one_minus_alpha_bars[t] - scale * sched.sqrt_one_minus_alpha_bars[t - 1]
+    coeff = sched.root_arrays[t][1].item() - scale * sched.root_arrays[t - 1][1].item()
     return LatentState(scale * x_prev.x + coeff * eps, t)
 
 

@@ -33,9 +33,7 @@ class GaussianMixture:
     scales: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64).copy()
-        mu = np.asarray(self.means, dtype=np.float64).copy()
-        s = np.asarray(self.scales, dtype=np.float64).copy()
+        w, mu, s = read_only(self.weights), read_only(self.means), read_only(self.scales)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
         if mu.ndim != 2 or mu.shape[0] != w.size:
@@ -48,8 +46,6 @@ class GaussianMixture:
             raise ConfigError("scales", f"must lie in [{_MIN_SCALE:g}, {_MAX_SCALE:g}]")
         if not all_finite(mu):
             raise ConfigError("means", "must be finite")
-        for arr in (w, mu, s):
-            arr.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "scales", s)
@@ -72,10 +68,9 @@ class Condition:
 
     def __post_init__(self):
         if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64).copy()
+            w = read_only(self.weights)
             if w.ndim != 1 or not np.all(w >= 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
                 raise ConfigError("weights", "must be a nonnegative vector that sums to 1")
-            w.setflags(write=False)
             object.__setattr__(self, "weights", w)
 
     def effective_weights(self, mix: GaussianMixture) -> np.ndarray:
@@ -97,23 +92,17 @@ def _level_table(mix: GaussianMixture, sched: NoiseSchedule) -> tuple:
     Keys are identities (both types compare by identity), so one entry covers
     one experiment; it keeps its mixture alive until evicted.
     """
-    rows = []
-    for ab in sched.alpha_bars:
-        var_t = ab * mix.scales**2 + (1.0 - ab)
-        log_norm = mix.dim * np.log(2.0 * math.pi * var_t)
-        var_t.setflags(write=False)  # every caller shares the cached arrays
-        log_norm.setflags(write=False)
-        rows.append((var_t, log_norm))
-    return tuple(rows)
+    var_ts = [ab * mix.scales**2 + (1.0 - ab) for ab in sched.alpha_bars]
+    # Every caller shares the cached arrays, so none of them can be written.
+    return tuple((read_only(var_t), read_only(mix.dim * np.log(2.0 * math.pi * var_t))) for var_t in var_ts)
 
 
 @functools.lru_cache(maxsize=2)
 def _log_weights(mix: GaussianMixture, cond: Condition) -> np.ndarray:
-    """``log w`` of the conditioned mixture; two entries cover an experiment's condition and unconditional branch."""
+    """``log w`` of the conditioned mixture, for the denoiser and the log-density reward; two entries cover an
+    experiment's condition and unconditional branch."""
     with np.errstate(divide="ignore"):
-        log_w = np.log(cond.effective_weights(mix))
-    log_w.setflags(write=False)
-    return log_w
+        return read_only(np.log(cond.effective_weights(mix)))
 
 
 def _geometry(x_t: LatentState, mix: GaussianMixture, sched: NoiseSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,14 +10,14 @@ from typing import Union
 import numpy as np
 
 from .dynamics import ConfigError, NonFiniteError, all_finite
-from .models import Condition, GaussianMixture
+from .models import Condition, GaussianMixture, _log_weights
+from .schedule import read_only
 
 
 def _target_copy(target: np.ndarray) -> np.ndarray:
-    t = np.array(target, dtype=np.float64)
+    t = read_only(target)
     if t.ndim != 1 or not all_finite(t):
         raise ValueError("target must be a finite vector")
-    t.setflags(write=False)
     return t
 
 
@@ -96,11 +96,9 @@ def _raw_score(spec: RewardSpec, cond: Condition, x: np.ndarray) -> float:
 def _mixture_log_density(mix: GaussianMixture, cond: Condition, x: np.ndarray) -> float:
     if x.shape != (mix.dim,):
         raise ValueError("point dimension does not match mixture")
-    w = cond.effective_weights(mix)
     diff = mix.means - x
     sq = np.einsum("kd,kd->k", diff, diff)
     var = mix.scales**2
-    with np.errstate(divide="ignore"):
-        logits = np.log(w) - 0.5 * (mix.dim * np.log(2.0 * math.pi * var) + sq / var)
+    logits = _log_weights(mix, cond) - 0.5 * (mix.dim * np.log(2.0 * math.pi * var) + sq / var)
     top = logits.max()
     return float(top + math.log(np.exp(logits - top).sum()))

@@ -24,7 +24,7 @@ class NoiseSchedule:
     num_steps: int = field(init=False)
 
     def __post_init__(self):
-        abars = np.asarray(self.alpha_bars, dtype=np.float64).copy()
+        abars = read_only(self.alpha_bars)
         if abars.ndim != 1 or abars.size < 2:
             raise ValueError(f"alpha_bars must be a vector of at least two levels, got shape {abars.shape}")
         if abars[0] != 1.0:
@@ -35,31 +35,21 @@ class NoiseSchedule:
             raise ValueError("alpha_bars must lie in (0, 1]")
         if np.any(abars[1:] > abars[:-1]):
             raise ValueError("alpha_bars must be nonincreasing")
-        abars.setflags(write=False)
         object.__setattr__(self, "alpha_bars", abars)
         object.__setattr__(self, "num_steps", abars.size - 1)
 
     @functools.cached_property
-    def sqrt_alpha_bars(self) -> tuple[float, ...]:
-        """``math.sqrt(ab_t)`` per level, built on first read; not part of init, repr or equality."""
-        return tuple(map(math.sqrt, self.alpha_bars.tolist()))
-
-    @functools.cached_property
-    def sqrt_one_minus_alpha_bars(self) -> tuple[float, ...]:
-        """``math.sqrt(1.0 - ab_t)`` per level, built on first read; not part of init, repr or equality."""
-        return tuple(math.sqrt(1.0 - ab) for ab in self.alpha_bars.tolist())
-
-    @functools.cached_property
     def root_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per level, the float roots and ``-sqrt(1 - ab_t)`` as read-only 0-d float64 arrays, built on first read:
-        numpy scales a small array by a 0-d array faster than by a float, with the same bits."""
-        pairs = zip(self.sqrt_alpha_bars, self.sqrt_one_minus_alpha_bars)
-        return tuple((read_only(a), read_only(b), read_only(-b)) for a, b in pairs)
+        """Per level, ``sqrt(ab_t)``, ``sqrt(1 - ab_t)`` and ``-sqrt(1 - ab_t)`` as read-only 0-d float64 arrays of
+        ``math.sqrt``'s bits, built on first read and not part of init, repr or equality: numpy scales a small array
+        by a 0-d array faster than by a float, with the same bits."""
+        roots = ((math.sqrt(ab), math.sqrt(1.0 - ab)) for ab in self.alpha_bars.tolist())
+        return tuple((read_only(a), read_only(b), read_only(-b)) for a, b in roots)
 
 
-def read_only(value: float) -> np.ndarray:
-    """``value`` as a 0-d float64 array that cannot be written."""
-    arr = np.array(value, dtype=np.float64)
+def read_only(value: object) -> np.ndarray:
+    """``value``, a number or an array of any shape, as a C-ordered float64 copy that cannot be written."""
+    arr = np.array(value, dtype=np.float64, order="C")
     arr.setflags(write=False)
     return arr
 

@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NEAR_FLOAT_LIMIT, NON_FINITE_VECTORS
-from ctrlz import Condition, GaussianMixture, LogDensity, NegDistance, Plateau, score
+from ctrlz import Condition, GaussianMixture, LogDensity, NegDistance, NoiseSchedule, Plateau, score
 
 UNCOND = Condition()
 
@@ -36,6 +37,7 @@ def test_log_density_standard_normal_hand_value():
 
 @st.composite
 def mixture_cases(draw):
+    """A mixture, a condition on it (unconditional, or a reweighting that may zero some components) and a point."""
     k = draw(st.integers(min_value=1, max_value=4))
     d = draw(st.integers(min_value=1, max_value=3))
     raw_w = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
@@ -46,20 +48,37 @@ def mixture_cases(draw):
     )
     scales = np.array(draw(st.lists(st.floats(0.3, 2.5), min_size=k, max_size=k)))
     x = np.array(draw(st.lists(st.floats(-6, 6), min_size=d, max_size=d)))
-    return GaussianMixture(w, means, scales), x
+    raw_c = draw(st.none() | st.lists(st.just(0.0) | st.floats(0.05, 1.0), min_size=k, max_size=k).filter(any))
+    cond = UNCOND if raw_c is None else Condition(np.array(raw_c) / sum(raw_c))
+    return GaussianMixture(w, means, scales), cond, x
+
+
+def reference_log_density(mix, cond, x):
+    """The log-density reward's arithmetic with its own ``log w``, taken under ``errstate(divide="ignore")``."""
+    diff = mix.means - x
+    sq = np.einsum("kd,kd->k", diff, diff)
+    var = mix.scales**2
+    with np.errstate(divide="ignore"):
+        logits = np.log(cond.effective_weights(mix)) - 0.5 * (mix.dim * np.log(2.0 * math.pi * var) + sq / var)
+    top = logits.max()
+    return float(top + math.log(np.exp(logits - top).sum()))
 
 
 @settings(max_examples=120, deadline=None)
 @given(mixture_cases())
 def test_log_density_matches_direct_summation_oracle(case):
-    mix, x = case
-    got = score(LogDensity(mix), UNCOND, x)
-    total = 0.0
-    for i in range(mix.n_components):
-        gap = x - mix.means[i]
-        v = mix.scales[i] ** 2
-        total += mix.weights[i] * math.exp(-gap @ gap / (2 * v)) / (2 * math.pi * v) ** (mix.dim / 2)
-    assert got == pytest.approx(math.log(total), abs=1e-10, rel=1e-10)
+    mix, cond, x = case
+    got = score(LogDensity(mix), cond, x)
+    # The reward reads the denoiser's cached log w; its bits are those of the reward's own log w.
+    assert got.hex() == reference_log_density(mix, cond, x).hex()
+    with mpmath.workdps(40):  # extended precision, so no component's density underflows to 0
+        total = mpmath.mpf(0)
+        for w, mean, scale in zip(cond.effective_weights(mix).tolist(), mix.means, mix.scales.tolist()):
+            gap = x - mean
+            v = mpmath.mpf(scale) ** 2
+            total += w * mpmath.exp(-mpmath.mpf(gap @ gap) / (2 * v)) / (2 * mpmath.pi * v) ** (mpmath.mpf(mix.dim) / 2)
+        oracle = float(mpmath.log(total))
+    assert got == pytest.approx(oracle, abs=1e-10, rel=1e-10)
 
 
 def test_log_density_condition_handling():
@@ -147,11 +166,26 @@ def test_score_rejects_a_point_of_another_dimension(spec):
         score(spec, UNCOND, np.array([3.0, 0.0]))
 
 
-@pytest.mark.parametrize("kind", [NegDistance, Plateau])
-def test_reward_target_is_a_read_only_copy(kind):
-    source = np.array([3.0, 0.0])
-    spec = kind(source)
-    source[0] = 100.0  # editing the caller's array after construction must not move the reward
-    assert spec.target.tolist() == [3.0, 0.0]
+MIX_WEIGHTS, MIX_MEANS, MIX_SCALES = np.array([0.25, 0.75]), np.zeros((2, 1)), np.ones(2)
+
+# Per array a domain type holds, a builder that makes the type from the caller's source array and returns the
+# array it holds, and the source's entries.
+HELD_ARRAYS = {
+    "NoiseSchedule.alpha_bars": (lambda a: NoiseSchedule(a).alpha_bars, [1.0, 0.5]),
+    "GaussianMixture.weights": (lambda a: GaussianMixture(a, MIX_MEANS, MIX_SCALES).weights, [0.25, 0.75]),
+    "GaussianMixture.means": (lambda a: GaussianMixture(MIX_WEIGHTS, a, MIX_SCALES).means, [[0.0, 1.0], [2.0, 3.0]]),
+    "GaussianMixture.scales": (lambda a: GaussianMixture(MIX_WEIGHTS, MIX_MEANS, a).scales, [1.0, 2.0]),
+    "Condition.weights": (lambda a: Condition(a).weights, [0.25, 0.75]),
+    "NegDistance.target": (lambda a: NegDistance(a).target, [3.0, 0.0]),
+    "Plateau.target": (lambda a: Plateau(a).target, [3.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("held, entries", HELD_ARRAYS.values(), ids=HELD_ARRAYS)
+def test_held_arrays_are_read_only_copies(held, entries):
+    source = np.array(entries)
+    arr = held(source)
+    source += 1.0  # editing the caller's array after construction must not move the object
+    assert arr.tolist() == entries and arr.dtype == np.float64
     with pytest.raises(ValueError, match="read-only"):
-        spec.target[0] = 1.0
+        arr[...] = 0.0

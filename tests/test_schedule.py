@@ -160,25 +160,21 @@ def test_schedules_compare_and_hash_by_identity():
 
 
 def assert_roots_are_read_only_square_roots(sched):
-    """Both per-level roots equal ``math.sqrt`` of their operand bit for bit, and cannot be rebound; each
-    ``root_arrays`` row holds them and the negated second as read-only 0-d float64 arrays of the same bits."""
-    abars = sched.alpha_bars
-    levels = range(sched.num_steps + 1)
-    assert [r.hex() for r in sched.sqrt_alpha_bars] == [math.sqrt(abars[t]).hex() for t in levels]
-    assert [r.hex() for r in sched.sqrt_one_minus_alpha_bars] == [math.sqrt(1.0 - abars[t]).hex() for t in levels]
+    """Each ``root_arrays`` row holds ``math.sqrt(ab_t)``, ``math.sqrt(1 - ab_t)`` and its negation bit for bit, as
+    read-only 0-d float64 arrays, and the table cannot be rebound."""
     assert len(sched.root_arrays) == sched.num_steps + 1
-    for row, a, b in zip(sched.root_arrays, sched.sqrt_alpha_bars, sched.sqrt_one_minus_alpha_bars):
+    for row, ab in zip(sched.root_arrays, sched.alpha_bars.tolist()):
+        a, b = math.sqrt(ab), math.sqrt(1.0 - ab)
         assert [r.item().hex() for r in row] == [a.hex(), b.hex(), (-b).hex()]  # hex keeps the sign of -0.0
         for r in row:
             assert (type(r), r.shape, r.dtype, r.flags.writeable) == (np.ndarray, (), np.float64, False)
             with pytest.raises(ValueError):
                 r[...] = 0.0
-    for name in ("sqrt_alpha_bars", "sqrt_one_minus_alpha_bars", "root_arrays"):
-        assert type(getattr(sched, name)) is tuple
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(sched, name, ())
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(sched, name)
+    assert type(sched.root_arrays) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.root_arrays = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del sched.root_arrays
 
 
 def test_shipped_schedule_roots_are_read_only_square_roots(sched50):
@@ -195,10 +191,9 @@ def test_schedule_roots_are_read_only_square_roots(sched, data):
 def test_roots_are_built_on_first_read_and_stay_out_of_repr_and_equality():
     parent = build_linear_schedule(1000, 1e-4, 0.02)
     child = subsample(parent, 50)
-    roots = {"sqrt_alpha_bars", "sqrt_one_minus_alpha_bars", "root_arrays"}
-    assert not roots & set(vars(parent))  # subsample reads alpha_bars only
-    assert not roots & set(vars(child))
-    assert child.sqrt_alpha_bars is child.sqrt_alpha_bars  # computed once, then held
-    assert child.root_arrays is child.root_arrays
+    assert "root_arrays" not in vars(parent)  # subsample reads alpha_bars only
+    assert "root_arrays" not in vars(child)
+    assert child.root_arrays is child.root_arrays  # computed once, then held
+    assert "root_arrays" in vars(child)
     assert "sqrt" not in repr(child) and "root" not in repr(child)
     assert [f.name for f in dataclasses.fields(child)] == ["alpha_bars", "num_steps"]
